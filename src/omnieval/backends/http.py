@@ -9,13 +9,14 @@ can be pinned by golden tests without a server.
 from __future__ import annotations
 
 import base64
+import http.client
 import json
 import mimetypes
 import os
+import threading
 import time
 from pathlib import Path
-
-import requests
+from urllib.parse import urlsplit
 
 from ..errors import (
     AttachmentError,
@@ -151,19 +152,80 @@ def parse_completions_logprobs(payload: dict, context_chars: int, continuation: 
     return LoglikelihoodResult(total, count, len(continuation))
 
 
-def _requests_transport(url: str, body: dict, headers: dict, timeout_s: float):
+# A kept-alive connection the server has since closed fails like this before
+# any reply arrives; only then is the request sent again, on a new connection.
+_STALE_ERRORS = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
+
+
+class _ThreadConnections(dict):
+    """One thread's open connections, keyed by (scheme, host:port, timeout).
+    Closed when the thread ends and its local storage is dropped."""
+
+    def __del__(self):
+        for conn in self.values():
+            conn.close()
+
+
+_local = threading.local()
+
+
+def _thread_connections() -> _ThreadConnections:
+    conns = getattr(_local, "conns", None)
+    if conns is None:
+        conns = _local.conns = _ThreadConnections()
+    return conns
+
+
+def _open(scheme: str, netloc: str, timeout_s: float) -> http.client.HTTPConnection:
+    if scheme == "https":
+        return http.client.HTTPSConnection(netloc, timeout=timeout_s)
+    if scheme == "http":
+        return http.client.HTTPConnection(netloc, timeout=timeout_s)
+    raise TransportError(f"unsupported URL scheme {scheme!r}")
+
+
+def _send(conn, path: str, data: bytes, headers: dict) -> http.client.HTTPResponse:
+    conn.request("POST", path, body=data, headers=headers)
+    return conn.getresponse()
+
+
+def _keepalive_transport(url: str, body: dict, headers: dict, timeout_s: float):
+    """POST ``body`` as JSON over this thread's kept-alive connection to the
+    URL's host, opening one if there is none."""
+    parts = urlsplit(url)
+    path = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    data = json.dumps(body).encode("utf-8")
+    conns = _thread_connections()
+    key = (parts.scheme, parts.netloc, timeout_s)
+    conn = conns.pop(key, None)
     try:
-        resp = requests.post(url, json=body, headers=headers, timeout=timeout_s)
-    except requests.exceptions.RequestException as exc:
+        if conn is not None:
+            try:
+                resp = _send(conn, path, data, headers)
+            except _STALE_ERRORS:
+                conn.close()
+                conn = None
+        if conn is None:
+            conn = _open(parts.scheme, parts.netloc, timeout_s)
+            resp = _send(conn, path, data, headers)
+        text = resp.read().decode("utf-8", errors="replace")
+    except (OSError, http.client.HTTPException) as exc:
+        if conn is not None:
+            conn.close()
         raise TransportError(f"request to {url} failed: {exc}") from exc
-    return resp.status_code, dict(resp.headers), resp.text
+    if resp.will_close:
+        conn.close()
+    else:
+        conns[key] = conn
+    return resp.status, dict(resp.getheaders()), text
 
 
 class HttpBackend(Backend):
     """OpenAI-compatible HTTP backend.
 
     ``transport`` is injectable for tests: a callable of
-    (url, body, headers, timeout_s) returning (status, headers, text).
+    (url, body, headers, timeout_s) returning (status, headers, text). The
+    default keeps one connection per worker thread alive.
     """
 
     def __init__(
@@ -182,7 +244,7 @@ class HttpBackend(Backend):
         self.model_name = model_name
         self.api_key_env = api_key_env
         self.timeout_s = timeout_s
-        self._transport = transport or _requests_transport
+        self._transport = transport or _keepalive_transport
         self._caps = BackendCapabilities(
             supports_generation, supports_loglikelihood, supports_images, model_name
         )

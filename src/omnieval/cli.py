@@ -23,7 +23,7 @@ from .backends import GenerationOptions, HttpBackend, StubBackend
 from .dataset import DatasetManifest, load_dataset
 from .errors import ConfigError, EmptyDataset, EvalKitError, ParseError, SchemaError
 from .estimators import score_item
-from .filters import ExtractionRule, QuestionType, extract_answer
+from .filters import ExtractionRule, ExtractionStatus, QuestionType, extract_answer
 from .prompts import PromptTemplate
 from .report import EMITTERS, aggregate, report_to_markdown
 from .runner import (
@@ -196,6 +196,11 @@ def cmd_score(args) -> int:
         extracted = extract_answer(
             record.response_text, item.question_type, item.choices, config.extraction_rules
         )
+        stored = record.extracted
+        if (extracted.status is ExtractionStatus.UNEXTRACTED and stored is not None
+                and stored.status is ExtractionStatus.MODEL_EXTRACTED):
+            # the extractor's answer came from a backend call, which score never makes
+            extracted = stored
         outcomes = tuple(score_item(item, extracted, manifest.metrics))
         rescored.append(
             RunRecord(

@@ -54,10 +54,10 @@ def aggregate(records: list[RunRecord], manifest: DatasetManifest | None = None,
         if pooled is not None:
             overall = overall + (pooled,)
 
-    by_category: dict[str, tuple[MetricValue, ...]] = {}
-    for category in sorted({r.category or UNCATEGORIZED for r in records}):
-        group = [r for r in records if (r.category or UNCATEGORIZED) == category]
-        by_category[category] = _metric_values(group, names)
+    groups: dict[str, list[RunRecord]] = {}
+    for r in records:
+        groups.setdefault(r.category or UNCATEGORIZED, []).append(r)
+    by_category = {category: _metric_values(groups[category], names) for category in sorted(groups)}
 
     unextracted = sum(
         1

@@ -163,11 +163,17 @@ def bundle_request(bundle: PromptBundle) -> dict:
     }
 
 
+def generate_key(model_name: str, bundle: PromptBundle, options: GenerationOptions) -> str:
+    request = {"kind": "generate", "conversation": bundle_request(bundle)}
+    return cache_key(model_name, request, options.to_dict())
+
+
 class ResponseCache:
     """Append-only JSONL cache sharded by the first two digest hex chars.
 
     Reads populate an in-memory index per shard; writes go through one lock.
-    The newest entry for a key wins, which makes interrupted runs resumable.
+    The newest entry for a key wins, which makes interrupted runs resumable. A
+    line torn by a kill mid-append is skipped, so only its own key is refetched.
     """
 
     def __init__(self, cache_dir):
@@ -175,6 +181,7 @@ class ResponseCache:
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._shards: dict[str, dict[str, dict]] = {}
+        self._unterminated: set[str] = set()
 
     def _shard(self, key: str) -> dict[str, dict]:
         name = key[:2]
@@ -183,11 +190,25 @@ class ResponseCache:
                 index: dict[str, dict] = {}
                 shard_path = self.cache_dir / f"{name}.jsonl"
                 if shard_path.exists():
-                    for line in shard_path.read_text(encoding="utf-8").splitlines():
+                    # a torn line may end inside a multi-byte character
+                    text = shard_path.read_text(encoding="utf-8", errors="replace")
+                    torn = 0
+                    for line in text.splitlines():
                         if not line.strip():
                             continue
-                        entry = json.loads(line)
+                        try:
+                            entry = json.loads(line)
+                        except json.JSONDecodeError:
+                            entry = None
+                        if not isinstance(entry, dict) or "key" not in entry:
+                            torn += 1
+                            continue
                         index[entry["key"]] = entry
+                    if torn:
+                        logger.warning("cache shard %s: skipped %d unreadable line(s)", shard_path, torn)
+                    if text and not text.endswith("\n"):
+                        # a torn last line: start the next entry on a line of its own
+                        self._unterminated.add(name)
                 self._shards[name] = index
             return self._shards[name]
 
@@ -207,11 +228,13 @@ class ResponseCache:
             "response": response.to_dict(),
         }
         shard = self._shard(key)
+        name = key[:2]
         with self._lock:
             shard[key] = entry
-            path = self.cache_dir / f"{key[:2]}.jsonl"
-            with path.open("a", encoding="utf-8") as fh:
-                fh.write(canonical_json(entry) + "\n")
+            lead = "\n" if name in self._unterminated else ""
+            self._unterminated.discard(name)
+            with (self.cache_dir / f"{name}.jsonl").open("a", encoding="utf-8") as fh:
+                fh.write(lead + canonical_json(entry) + "\n")
 
 
 # --- retries -----------------------------------------------------------------
@@ -238,6 +261,40 @@ def with_retries(thunk, *, max_retries: int = 3, backoff_base_ms: int = 500, sle
 
 
 # --- evaluation loops --------------------------------------------------------
+
+def _cached(cache: ResponseCache | None, key: str, kind: str, fetch):
+    """The cached reply for ``key``, else ``fetch()``'s, which is then cached.
+    A failed fetch raises and caches nothing."""
+    response = cache.get(key) if cache else None
+    if response is None:
+        response = fetch()
+        if cache:
+            cache.put(key, kind, response)
+    return response
+
+
+def _retrying(config: RunConfig, call, *args):
+    return lambda: with_retries(
+        lambda: call(*args), max_retries=config.max_retries, backoff_base_ms=config.backoff_base_ms
+    )
+
+
+class _CachedExtractor:
+    """An extractor backend whose generate calls go through the run's
+    response cache, so a warm rerun sends it nothing."""
+
+    def __init__(self, backend: Backend, cache: ResponseCache):
+        self._backend = backend
+        self._cache = cache
+        self._caps = backend.capabilities()
+
+    def capabilities(self):
+        return self._caps
+
+    def generate(self, bundle: PromptBundle, options: GenerationOptions) -> ModelResponse:
+        key = generate_key(self._caps.model_name, bundle, options)
+        return _cached(self._cache, key, "generate", lambda: self._backend.generate(bundle, options))
+
 
 def _run_parallel(items, config: RunConfig, task) -> list[RunRecord]:
     if config.limit is not None:
@@ -274,29 +331,24 @@ def run_generation_eval(
         raise ConfigError(f"backend {caps.model_name!r} does not support generation")
     cache = ResponseCache(config.cache_dir) if config.cache_dir else None
     metrics = _metric_names(manifest, config)
+    extractor = config.extractor
+    if extractor is not None and cache is not None:
+        extractor = _CachedExtractor(extractor, cache)
 
     def task(item: EvalItem) -> RunRecord:
         digest = ""
         try:
             bundle = render_prompt(item, config.template, config.use_cot, config.num_shots)
-            request = {"kind": "generate", "conversation": bundle_request(bundle)}
-            digest = cache_key(caps.model_name, request, config.generation.to_dict())
-            response = cache.get(digest) if cache else None
-            if response is None:
-                response = with_retries(
-                    lambda: backend.generate(bundle, config.generation),
-                    max_retries=config.max_retries,
-                    backoff_base_ms=config.backoff_base_ms,
-                )
-                if cache:
-                    cache.put(digest, "generate", response)
+            digest = generate_key(caps.model_name, bundle, config.generation)
+            response = _cached(cache, digest, "generate",
+                               _retrying(config, backend.generate, bundle, config.generation))
             extracted = extract_answer(
                 response.text, item.question_type, item.choices, config.extraction_rules
             )
-            if extracted.status is ExtractionStatus.UNEXTRACTED and config.extractor is not None:
+            if extracted.status is ExtractionStatus.UNEXTRACTED and extractor is not None:
                 extracted = model_extract(
                     response.text, item.question_type, item.choices,
-                    config.extractor, config.extraction_rules,
+                    extractor, config.extraction_rules,
                 )
             outcomes = tuple(score_item(item, extracted, metrics))
         except Exception as exc:
@@ -345,15 +397,8 @@ def run_ppl_eval(
                 continuation = " " + choice
                 request = {"kind": "loglikelihood", "context": context, "continuation": continuation}
                 key = cache_key(caps.model_name, request, None)
-                result = cache.get(key) if cache else None
-                if result is None:
-                    result = with_retries(
-                        lambda c=context, s=continuation: backend.loglikelihood(c, s),
-                        max_retries=config.max_retries,
-                        backoff_base_ms=config.backoff_base_ms,
-                    )
-                    if cache:
-                        cache.put(key, "loglikelihood", result)
+                result = _cached(cache, key, "loglikelihood",
+                                 _retrying(config, backend.loglikelihood, context, continuation))
                 per_choice.append(
                     {
                         "letter": LETTERS[i],

@@ -197,6 +197,32 @@ class TestScore:
         assert "0.7000" in capsys.readouterr().out
         assert out_path.read_text(encoding="utf-8") == records.read_text(encoding="utf-8")
 
+    def test_rescore_keeps_model_extracted_answer(self, tmp_path, capsys):
+        dataset = tmp_path / "two.json"
+        dataset.write_text(json.dumps({
+            "meta": {"name": "two", "metrics": ["accuracy"]},
+            "data": [
+                {"id": "x1", "instruction": "Capital of Italy?", "choices": ["Paris", "Rome"],
+                 "answer": "B", "question_type": "single_choice"},
+                {"id": "x2", "instruction": "Capital of Italy, again?", "choices": ["Paris", "Rome"],
+                 "answer": "B", "question_type": "single_choice"},
+            ],
+        }), encoding="utf-8")
+        config = make_config(
+            tmp_path, dataset,
+            replies={"x1": "The answer is B.", "x2": "the second one, obviously"},
+            extra={"extractor": {"type": "stub", "model_name": "extractor", "default_reply": "B"}},
+        )
+        assert main(["eval", "--config", str(config)]) == 0
+        assert "| __all__ | 1.0000 |" in capsys.readouterr().out
+        records = tmp_path / "runs" / "two" / "stub" / "records.jsonl"
+        out_path = tmp_path / "rescored.jsonl"
+        code = main(["score", "--records", str(records), "--dataset", str(dataset),
+                     "--out", str(out_path)])
+        assert code == 0
+        assert "| __all__ | 1.0000 |" in capsys.readouterr().out
+        assert out_path.read_text(encoding="utf-8") == records.read_text(encoding="utf-8")
+
 
 class TestReportCommand:
     def _run(self, tmp_path, fixture_dataset_path):

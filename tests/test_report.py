@@ -83,6 +83,16 @@ class TestAggregate:
         assert law_values["accuracy"].value == pytest.approx(1.0)
         assert law_values["accuracy"].support == 1
 
+    def test_interleaved_categories_match_per_category_runs(self):
+        rng = random.Random(3)
+        categories = ["b", "a", None, "c", "a", "b", None, "b", "c", "a"] * 3
+        records = [simple_record(i, rng.random(), category=c) for i, c in enumerate(categories)]
+        report = aggregate(records, MANIFEST)
+        assert list(report.by_category) == ["a", "b", "c", "uncategorized"]
+        for category, values in report.by_category.items():
+            group = [r for r in records if (r.category or "uncategorized") == category]
+            assert values == aggregate(group, MANIFEST).overall
+
     def test_uncategorized_bucket(self):
         report = aggregate([simple_record(0, 1.0)], MANIFEST)
         assert "uncategorized" in report.by_category

@@ -1,6 +1,7 @@
 import json
 import random
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -17,7 +18,7 @@ from omnieval import (
 )
 from omnieval.dataset import DatasetManifest, EvalItem
 from omnieval.errors import BackendRefused, ConfigError, RateLimited, TransportError
-from omnieval.runner import RunRecord, records_to_jsonl
+from omnieval.runner import RunRecord, records_to_jsonl, write_run_output
 
 
 def make_item(i, **kwargs):
@@ -153,6 +154,59 @@ class TestGenerationEval:
         warm = run_generation_eval(items, stub2, config, manifest)
         assert stub2.generate_calls == 0
         assert records_to_jsonl(cold) == records_to_jsonl(warm)
+
+    def test_warm_cache_makes_no_extractor_calls(self, tmp_path):
+        manifest = DatasetManifest(name="extracted")
+        items = [choice_item(1, ["Paris", "Rome"], "B"), choice_item(2, ["Paris", "Rome"], "A")]
+        replies = {"it001": "the second one, obviously", "it002": "The answer is A."}
+        config = RunConfig(cache_dir=str(tmp_path / "cache"), output_dir=str(tmp_path / "runs"))
+        outputs = []
+        for _ in range(2):
+            extractor = StubBackend(default_reply="B", model_name="extractor")
+            stub = StubBackend(scripted=replies)
+            records = run_generation_eval(items, stub, replace(config, extractor=extractor), manifest)
+            run_dir = write_run_output(records, manifest, StubBackend(), config, "t0", "t1")
+            outputs.append((extractor.generate_calls, (run_dir / "records.jsonl").read_bytes()))
+        (cold_calls, cold_bytes), (warm_calls, warm_bytes) = outputs
+        assert cold_calls == 1
+        assert warm_calls == 0
+        assert warm_bytes == cold_bytes
+        assert b"model_extracted" in cold_bytes
+
+    def test_failed_extractor_reply_is_not_cached(self, tmp_path):
+        items = [choice_item(1, ["Paris", "Rome"], "B")]
+        stub = StubBackend(scripted={"it001": "the second one, obviously"})
+        config = RunConfig(cache_dir=str(tmp_path / "cache"))
+        down = StubBackend(default_reply="B", failures=[TransportError("down")])
+        first = run_generation_eval(items, stub, replace(config, extractor=down))
+        assert first[0].extracted.status.value == "unextracted"
+        up = StubBackend(default_reply="B")
+        second = run_generation_eval(items, stub, replace(config, extractor=up))
+        assert up.generate_calls == 1
+        assert second[0].extracted.status.value == "model_extracted"
+
+    def test_torn_cache_line_fails_only_its_own_key(self, tmp_path, fixture_dataset_path,
+                                                   fixture_replies, caplog):
+        manifest, items = load_dataset(fixture_dataset_path)
+        cache_dir = tmp_path / "cache"
+        config = RunConfig(cache_dir=str(cache_dir))
+        cold = run_generation_eval(items, StubBackend(scripted=fixture_replies), config, manifest)
+        shard = cache_dir / f"{next(r for r in cold if r.item_id == 'q09').prompt_digest[:2]}.jsonl"
+        shard.write_bytes(shard.read_bytes()[:-20])  # a kill mid-append
+
+        stub = StubBackend(scripted=fixture_replies)
+        with caplog.at_level("WARNING", logger="omnieval.runner"):
+            rerun = run_generation_eval(items, stub, config, manifest)
+        assert all(r.error is None for r in rerun)
+        assert stub.generate_calls == 1  # the torn entry, refetched
+        assert records_to_jsonl(rerun) == records_to_jsonl(cold)
+        assert sum("unreadable" in m for m in caplog.messages) == 1
+
+        # the refetched entry landed on a line of its own, so it is read back
+        stub = StubBackend(scripted=fixture_replies)
+        warm = run_generation_eval(items, stub, config, manifest)
+        assert stub.generate_calls == 0
+        assert records_to_jsonl(warm) == records_to_jsonl(cold)
 
     def test_limit(self):
         items = [make_item(i) for i in range(5)]
