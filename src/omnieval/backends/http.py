@@ -9,14 +9,15 @@ can be pinned by golden tests without a server.
 from __future__ import annotations
 
 import base64
-import http.client
 import json
 import mimetypes
 import os
+import re
+import socket
 import threading
 import time
 from pathlib import Path
-from urllib.parse import urlsplit
+from urllib.parse import SplitResult, urlsplit
 
 from ..errors import (
     AttachmentError,
@@ -152,9 +153,134 @@ def parse_completions_logprobs(payload: dict, context_chars: int, continuation: 
     return LoglikelihoodResult(total, count, len(continuation))
 
 
-# A kept-alive connection the server has since closed fails like this before
-# any reply arrives; only then is the request sent again, on a new connection.
-_STALE_ERRORS = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
+# Caps on what a reply may send before its body.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+_BAD_PATH = re.compile(r"[\x00-\x20\x7f]")
+
+
+class _StaleConnection(ConnectionError):
+    """A kept-alive connection failed before the first byte of the reply: the
+    server had closed it, so the request can be sent again on a new one."""
+
+
+def _read_line(reader) -> bytes:
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise ValueError("reply line too long")
+    return line
+
+
+def _read_status(reader) -> tuple[bytes, int]:
+    version, status, _ = (_read_line(reader).split(None, 2) + [b"", b""])[:3]
+    if version not in (b"HTTP/1.1", b"HTTP/1.0") or not (status.isdigit() and len(status) == 3):
+        raise ValueError("malformed status line")
+    return version, int(status)
+
+
+def _read_fields(reader) -> dict:
+    """Header or trailer lines up to the blank line, names lower-cased."""
+    fields = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = _read_line(reader)
+        if line in (b"\r\n", b"\n"):
+            return fields
+        name, sep, value = line.decode("latin-1").partition(":")
+        if not sep:
+            raise ValueError("malformed header line" if line else "reply ended inside its headers")
+        fields[name.strip().lower()] = value.strip()
+    raise ValueError(f"reply has more than {_MAX_HEADERS} header lines")
+
+
+def _read_exact(reader, n: int) -> bytes:
+    data = reader.read(n)
+    if len(data) < n:
+        raise ValueError(f"reply body ended after {len(data)} of {n} bytes")
+    return data
+
+
+def _read_chunked(reader) -> bytes:
+    chunks = []
+    while True:
+        size = int(_read_line(reader).split(b";", 1)[0], 16)
+        if size < 0:
+            raise ValueError("negative chunk size")
+        if size == 0:
+            break
+        chunk = _read_exact(reader, size + 2)
+        if chunk[-2:] != b"\r\n":
+            raise ValueError("chunk not followed by CRLF")
+        chunks.append(chunk[:-2])
+    _read_fields(reader)  # trailers, discarded
+    return b"".join(chunks)
+
+
+class _Connection:
+    """One kept-alive HTTP/1.1 connection. Each request is one write; the
+    reply is framed by Content-Length, by chunked transfer coding or by the
+    connection closing."""
+
+    def __init__(self, parts: SplitResult, timeout_s: float):
+        if parts.scheme not in ("http", "https"):
+            raise TransportError(f"unsupported URL scheme {parts.scheme!r}")
+        host = parts.hostname or ""
+        self.host_header = parts.netloc.rpartition("@")[2]
+        port = parts.port or (443 if parts.scheme == "https" else 80)
+        sock = socket.create_connection((host, port), timeout_s)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if parts.scheme == "https":
+                import ssl  # only on first use: most runs talk plain HTTP to a local server
+
+                sock = ssl.create_default_context().wrap_socket(sock, server_hostname=host)
+            self.reader = sock.makefile("rb")
+        except BaseException:
+            sock.close()
+            raise
+        self.sock = sock
+
+    def close(self):
+        self.reader.close()
+        self.sock.close()
+
+    def request(self, path: str, data: bytes, headers: dict) -> tuple[int, dict, bytes, bool]:
+        """POST ``data`` and read the reply: (status, headers, body, keep the
+        connection). Raises _StaleConnection when the connection fails before
+        the reply starts."""
+        if _BAD_PATH.search(path):
+            raise ValueError(f"request path {path!r} has a space or control character")
+        lines = [f"POST {path} HTTP/1.1", f"Host: {self.host_header}", "Accept-Encoding: identity",
+                 f"Content-Length: {len(data)}"]
+        lines += [f"{name}: {value}" for name, value in headers.items()]
+        head = "\n".join(lines)
+        if "\r" in head or head.count("\n") != len(lines) - 1:
+            raise ValueError("a request header has a line break")
+        try:
+            self.sock.sendall(head.replace("\n", "\r\n").encode("latin-1") + b"\r\n\r\n" + data)
+            started = self.reader.peek(1)
+        except (ConnectionResetError, BrokenPipeError) as exc:
+            raise _StaleConnection(str(exc)) from exc
+        if not started:
+            raise _StaleConnection("connection closed before the reply")
+        reader = self.reader
+        status = 100
+        while status < 200:  # 100 Continue and other interim replies come first
+            version, status = _read_status(reader)
+            reply_headers = _read_fields(reader)
+        tokens = reply_headers.get("connection", "").lower()
+        keep = "close" not in tokens if version == b"HTTP/1.1" else "keep-alive" in tokens
+        if status in (204, 304):
+            body = b""
+        elif "chunked" in reply_headers.get("transfer-encoding", "").lower():
+            body = _read_chunked(reader)
+        elif "content-length" in reply_headers:
+            length = int(reply_headers["content-length"])
+            if length < 0:
+                raise ValueError("negative Content-Length")
+            body = _read_exact(reader, length)
+        else:
+            body, keep = reader.read(), False
+        return status, reply_headers, body, keep
 
 
 class _ThreadConnections(dict):
@@ -176,22 +302,10 @@ def _thread_connections() -> _ThreadConnections:
     return conns
 
 
-def _open(scheme: str, netloc: str, timeout_s: float) -> http.client.HTTPConnection:
-    if scheme == "https":
-        return http.client.HTTPSConnection(netloc, timeout=timeout_s)
-    if scheme == "http":
-        return http.client.HTTPConnection(netloc, timeout=timeout_s)
-    raise TransportError(f"unsupported URL scheme {scheme!r}")
-
-
-def _send(conn, path: str, data: bytes, headers: dict) -> http.client.HTTPResponse:
-    conn.request("POST", path, body=data, headers=headers)
-    return conn.getresponse()
-
-
 def _keepalive_transport(url: str, body: dict, headers: dict, timeout_s: float):
     """POST ``body`` as JSON over this thread's kept-alive connection to the
-    URL's host, opening one if there is none."""
+    URL's host, opening one if there is none. Reply header names are
+    lower-cased."""
     parts = urlsplit(url)
     path = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
     data = json.dumps(body).encode("utf-8")
@@ -201,23 +315,23 @@ def _keepalive_transport(url: str, body: dict, headers: dict, timeout_s: float):
     try:
         if conn is not None:
             try:
-                resp = _send(conn, path, data, headers)
-            except _STALE_ERRORS:
+                reply = conn.request(path, data, headers)
+            except _StaleConnection:
                 conn.close()
                 conn = None
         if conn is None:
-            conn = _open(parts.scheme, parts.netloc, timeout_s)
-            resp = _send(conn, path, data, headers)
-        text = resp.read().decode("utf-8", errors="replace")
-    except (OSError, http.client.HTTPException) as exc:
+            conn = _Connection(parts, timeout_s)
+            reply = conn.request(path, data, headers)
+    except (OSError, ValueError) as exc:
         if conn is not None:
             conn.close()
         raise TransportError(f"request to {url} failed: {exc}") from exc
-    if resp.will_close:
-        conn.close()
-    else:
+    status, reply_headers, payload, keep = reply
+    if keep:
         conns[key] = conn
-    return resp.status, dict(resp.getheaders()), text
+    else:
+        conn.close()
+    return status, reply_headers, payload.decode("utf-8", errors="replace")
 
 
 class HttpBackend(Backend):

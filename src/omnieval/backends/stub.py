@@ -76,13 +76,6 @@ class StubBackend(Backend):
     def capabilities(self) -> BackendCapabilities:
         return self._caps
 
-    def reset_counters(self):
-        with self._lock:
-            self.generate_calls = 0
-            self.loglikelihood_calls = 0
-            self._inflight = 0
-            self.max_inflight = 0
-
     def _enter(self, kind: str):
         with self._lock:
             if kind == "generate":

@@ -34,6 +34,7 @@ from .runner import (
     run_generation_eval,
     run_ppl_eval,
     write_run_output,
+    write_text_atomic,
 )
 
 logger = logging.getLogger(__name__)
@@ -215,7 +216,7 @@ def cmd_score(args) -> int:
         )
 
     if args.out:
-        Path(args.out).write_text(records_to_jsonl(rescored), encoding="utf-8")
+        write_text_atomic(args.out, records_to_jsonl(rescored))
     report = aggregate(rescored, manifest, model_name=args.model or "rescored")
     print(report_to_markdown(report), end="")
     return EXIT_ITEM_ERRORS if report.error_count else EXIT_OK
@@ -249,7 +250,7 @@ def cmd_report(args) -> int:
         records = read_records(record_file)
         manifest = DatasetManifest(name=dataset)
         chunks.append(emitter(aggregate(records, manifest, model_name=model)))
-    text = "\n".join(chunks) if args.format in ("md", "markdown") else "".join(chunks)
+    text = "\n".join(chunks) if args.format == "md" else "".join(chunks)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:

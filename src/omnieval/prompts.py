@@ -54,10 +54,6 @@ class PromptBundle:
                 raise ConfigError("exemplar turns must alternate user/assistant")
 
     @property
-    def final_user_index(self) -> int:
-        return len(self.turns) - 1
-
-    @property
     def final_text(self) -> str:
         return self.turns[-1].text
 

@@ -206,7 +206,6 @@ def report_to_csv(report: MetricReport) -> str:
 
 EMITTERS = {
     "jsonl": report_to_jsonl,
-    "markdown": report_to_markdown,
     "md": report_to_markdown,
     "csv": report_to_csv,
 }

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import re
 import threading
 import time
@@ -172,8 +173,11 @@ class ResponseCache:
     """Append-only JSONL cache sharded by the first two digest hex chars.
 
     Reads populate an in-memory index per shard; writes go through one lock.
-    The newest entry for a key wins, which makes interrupted runs resumable. A
-    line torn by a kill mid-append is skipped, so only its own key is refetched.
+    Each shard is opened for appending once and each entry is one
+    ``os.write``, so entries of processes sharing the directory do not
+    interleave. The newest entry for a key wins, which makes interrupted runs
+    resumable. A line torn by a kill mid-append is skipped, so only its own
+    key is refetched. ``close`` releases the shard descriptors.
     """
 
     def __init__(self, cache_dir):
@@ -182,6 +186,7 @@ class ResponseCache:
         self._lock = threading.Lock()
         self._shards: dict[str, dict[str, dict]] = {}
         self._unterminated: set[str] = set()
+        self._fds: dict[str, int] = {}
 
     def _shard(self, key: str) -> dict[str, dict]:
         name = key[:2]
@@ -227,14 +232,30 @@ class ResponseCache:
             "created_at": datetime.now(timezone.utc).isoformat(),
             "response": response.to_dict(),
         }
+        line = (canonical_json(entry) + "\n").encode("utf-8")
         shard = self._shard(key)
         name = key[:2]
         with self._lock:
-            shard[key] = entry
-            lead = "\n" if name in self._unterminated else ""
+            if name in self._unterminated:
+                line = b"\n" + line
+            fd = self._fds.get(name)
+            if fd is None:
+                fd = self._fds[name] = os.open(
+                    self.cache_dir / f"{name}.jsonl", os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644
+                )
+            written = os.write(fd, line)
+            if written != len(line):
+                # the line is torn: the next entry starts on a line of its own
+                self._unterminated.add(name)
+                raise OSError(f"cache shard {name}: wrote {written} of {len(line)} bytes")
             self._unterminated.discard(name)
-            with (self.cache_dir / f"{name}.jsonl").open("a", encoding="utf-8") as fh:
-                fh.write(lead + canonical_json(entry) + "\n")
+            shard[key] = entry
+
+    def close(self):
+        with self._lock:
+            for fd in self._fds.values():
+                os.close(fd)
+            self._fds.clear()
 
 
 # --- retries -----------------------------------------------------------------
@@ -296,12 +317,17 @@ class _CachedExtractor:
         return _cached(self._cache, key, "generate", lambda: self._backend.generate(bundle, options))
 
 
-def _run_parallel(items, config: RunConfig, task) -> list[RunRecord]:
+def _run_parallel(items, config: RunConfig, task, cache: ResponseCache | None) -> list[RunRecord]:
+    """``task`` over the items in a pool, in item order; closes the run's cache."""
     if config.limit is not None:
         items = items[: config.limit]
-    with ThreadPoolExecutor(max_workers=config.concurrency_limit) as pool:
-        futures = [pool.submit(task, item) for item in items]
-        return [f.result() for f in futures]
+    try:
+        with ThreadPoolExecutor(max_workers=config.concurrency_limit) as pool:
+            futures = [pool.submit(task, item) for item in items]
+            return [f.result() for f in futures]
+    finally:
+        if cache:
+            cache.close()
 
 
 def _soft_fail(item: EvalItem, digest: str, exc: Exception) -> RunRecord:
@@ -363,7 +389,7 @@ def run_generation_eval(
             outcomes=outcomes,
         )
 
-    return _run_parallel(items, config, task)
+    return _run_parallel(items, config, task, cache)
 
 
 def run_ppl_eval(
@@ -433,7 +459,7 @@ def run_ppl_eval(
             outcomes=outcomes,
         )
 
-    return _run_parallel(items, config, task)
+    return _run_parallel(items, config, task, cache)
 
 
 def _argmax_letter(per_choice: list[dict], field_name: str) -> str:
@@ -449,6 +475,19 @@ def _safe_segment(name: str) -> str:
 
 def records_to_jsonl(records: list[RunRecord]) -> str:
     return "".join(canonical_json(r.to_dict()) + "\n" for r in records)
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path`` and move it into
+    place, so a crash leaves either the old file or the new one."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_records(path) -> list[RunRecord]:
@@ -470,7 +509,7 @@ def write_run_output(
     caps = backend.capabilities()
     run_dir = Path(config.output_dir) / _safe_segment(manifest.name) / _safe_segment(caps.model_name)
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "records.jsonl").write_text(records_to_jsonl(records), encoding="utf-8")
+    write_text_atomic(run_dir / "records.jsonl", records_to_jsonl(records))
     meta = {
         "dataset": manifest.name,
         "model": caps.model_name,
@@ -491,5 +530,5 @@ def write_run_output(
         "item_count": len(records),
         "error_count": sum(1 for r in records if r.error is not None),
     }
-    (run_dir / "run_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True), encoding="utf-8")
+    write_text_atomic(run_dir / "run_meta.json", json.dumps(meta, indent=2, sort_keys=True))
     return run_dir

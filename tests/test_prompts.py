@@ -76,7 +76,6 @@ class TestRenderPrompt:
         # exemplar with choices renders its own choice block
         assert "A. green\nB. blue" in bundle.turns[2].text
         assert bundle.turns[3].text == "B"
-        assert bundle.final_user_index == 4
 
     def test_cot_golden(self):
         bundle = render_prompt(ITEM, TEMPLATE, use_cot=True, num_shots=0)

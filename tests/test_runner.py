@@ -1,7 +1,11 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +22,9 @@ from omnieval import (
 )
 from omnieval.dataset import DatasetManifest, EvalItem
 from omnieval.errors import BackendRefused, ConfigError, RateLimited, TransportError
-from omnieval.runner import RunRecord, records_to_jsonl, write_run_output
+from omnieval.runner import ResponseCache, RunRecord, records_to_jsonl, write_run_output
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def make_item(i, **kwargs):
@@ -340,6 +346,51 @@ class TestPplEval:
         assert records_to_jsonl(cold) == records_to_jsonl(warm)
 
 
+# Puts ``count`` entries of over 8 KiB each into one shard of a cache
+# directory shared with another process.
+_WRITER = """
+import sys
+from omnieval.backends.base import FinishReason, ModelResponse
+from omnieval.runner import ResponseCache
+cache_dir, tag, count = sys.argv[1], sys.argv[2], int(sys.argv[3])
+cache = ResponseCache(cache_dir)
+for i in range(count):
+    cache.put(f"aa-{tag}-{i}", "generate", ModelResponse(f"{tag}{i} " * 1500, FinishReason.STOP))
+cache.close()
+"""
+
+
+class TestResponseCache:
+    def test_two_writer_processes_do_not_interleave(self, tmp_path):
+        count = 150
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        writers = [
+            subprocess.Popen([sys.executable, "-c", _WRITER, str(tmp_path), tag, str(count)], env=env)
+            for tag in ("x", "y")
+        ]
+        assert [w.wait(timeout=60) for w in writers] == [0, 0]
+
+        lines = (tmp_path / "aa.jsonl").read_bytes().splitlines()
+        assert len(lines) == 2 * count
+        assert all(json.loads(line)["kind"] == "generate" for line in lines)
+        cache = ResponseCache(tmp_path)
+        for tag in ("x", "y"):
+            for i in range(count):
+                assert cache.get(f"aa-{tag}-{i}").text == f"{tag}{i} " * 1500
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("mode", ["generate", "ppl"])
+    def test_eval_leaves_no_shard_descriptor_open(self, tmp_path, mode):
+        items = [choice_item(i, ["Paris", "Rome"], "B") for i in range(20)]
+        config = RunConfig(mode=mode, cache_dir=str(tmp_path / "cache"))
+        run = run_ppl_eval if mode == "ppl" else run_generation_eval
+        before = len(os.listdir("/proc/self/fd"))
+        records = run(items, StubBackend(default_reply="B"), config)
+        assert all(r.error is None for r in records)
+        assert len(list((tmp_path / "cache").glob("*.jsonl"))) > 1
+        assert len(os.listdir("/proc/self/fd")) == before
+
+
 class TestRunRecordSerialization:
     def test_round_trip(self, fixture_dataset_path, fixture_replies):
         manifest, items = load_dataset(fixture_dataset_path)
@@ -365,6 +416,26 @@ class TestWriteRunOutput:
         assert (run_dir / "records.jsonl").exists()
         meta = json.loads((run_dir / "run_meta.json").read_text(encoding="utf-8"))
         assert meta["model"] == "org/model-7b"  # the true name survives in metadata
+
+
+    def test_failed_replace_keeps_previous_records(self, tmp_path, fixture_dataset_path,
+                                                   fixture_replies, monkeypatch):
+        manifest, items = load_dataset(fixture_dataset_path)
+        stub = StubBackend(scripted=fixture_replies)
+        config = RunConfig(output_dir=str(tmp_path / "runs"))
+        records = run_generation_eval(items, stub, config, manifest)
+        run_dir = write_run_output(records, manifest, stub, config, "t0", "t1")
+        before = (run_dir / "records.jsonl").read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_run_output(run_generation_eval(items[:3], stub, config, manifest),
+                             manifest, stub, config, "t2", "t3")
+        assert (run_dir / "records.jsonl").read_bytes() == before
+        assert sorted(p.name for p in run_dir.iterdir()) == ["records.jsonl", "run_meta.json"]
 
 
 class TestRunConfigValidation:

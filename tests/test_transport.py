@@ -15,7 +15,7 @@ import pytest
 
 from omnieval.backends import GenerationOptions, HttpBackend
 from omnieval.backends.http import _thread_connections
-from omnieval.errors import TransportError
+from omnieval.errors import RateLimited, TransportError
 from omnieval.prompts import PromptBundle, Turn
 
 PING = PromptBundle(system_text=None, turns=(Turn("user", "ping"),))
@@ -29,7 +29,13 @@ class _CountingHandler(http.server.BaseHTTPRequestHandler):
     - ``drop``: reply, then close the connection without announcing it;
     - ``reset``: read the request and reset the connection without a reply;
     - ``close``: reply with ``Connection: close`` and close;
-    - ``slow``: wait a second before replying.
+    - ``slow``: wait a second before replying;
+    - ``chunked``: frame the body in two chunks;
+    - ``eof``: send no Content-Length and close after the body;
+    - ``http10``: reply as HTTP/1.0 without keep-alive, and close;
+    - ``interim``: send ``100 Continue`` before the reply;
+    - ``429``: reply 429 with ``Retry-After: 3``;
+    - ``reset_after_status``: send the status line, then reset the connection.
     """
 
     protocol_version = "HTTP/1.1"
@@ -49,7 +55,10 @@ class _CountingHandler(http.server.BaseHTTPRequestHandler):
         with self.server.lock:
             self.server.handled += 1
         mode = self.server.mode
-        if mode == "reset":
+        if mode == "reset_after_status":
+            self.wfile.write(b"HTTP/1.1 200 OK\r\n")
+            time.sleep(0.2)  # the client has read the status line
+        if mode in ("reset", "reset_after_status"):
             self.connection.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
             self.close_connection = True
             return
@@ -59,6 +68,18 @@ class _CountingHandler(http.server.BaseHTTPRequestHandler):
             "choices": [{"message": {"content": "pong"}, "finish_reason": "stop"}],
             "usage": {"prompt_tokens": 1, "completion_tokens": 1},
         }).encode()
+        if mode in ("chunked", "eof", "http10"):
+            self.close_connection = mode != "chunked"
+            self.wfile.write(_framed(mode, body))
+            return
+        if mode == "interim":
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        if mode == "429":
+            self.send_response(429)
+            self.send_header("Retry-After", "3")
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            return
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -74,6 +95,16 @@ class _CountingHandler(http.server.BaseHTTPRequestHandler):
 
     def log_message(self, *args):
         pass
+
+
+def _framed(mode, body):
+    if mode == "chunked":
+        half = len(body) // 2
+        chunks = b"".join(b"%x\r\n%s\r\n" % (len(c), c) for c in (body[:half], body[half:]))
+        return b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + chunks + b"0\r\n\r\n"
+    if mode == "eof":
+        return b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n" + body
+    return b"HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
 
 
 @pytest.fixture
@@ -138,10 +169,23 @@ class TestKeepAliveTransport:
         _in_thread(lambda: _ping(server.url))
         assert server.accepted == 2
 
-    @pytest.mark.parametrize("mode, kept", [("ok", 1), ("close", 0)])
+    @pytest.mark.parametrize("mode, kept", [
+        ("ok", 1), ("close", 0), ("chunked", 1), ("eof", 0), ("http10", 0), ("interim", 1),
+    ])
     def test_connection_is_kept_unless_reply_says_close(self, server, mode, kept):
         server.mode = mode
         assert _in_thread(lambda: (_ping(server.url), len(_thread_connections()))) == ("pong", kept)
+
+    def test_rate_limit_reply_carries_retry_after(self, server):
+        def run():
+            server.mode = "429"
+            with pytest.raises(RateLimited) as err:
+                _ping(server.url)
+            server.mode = "ok"
+            return err.value.retry_after_s, _ping(server.url)
+
+        assert _in_thread(run) == (3.0, "pong")
+        assert server.accepted == 1  # the 429 reply left the connection usable
 
     def test_reconnects_once_after_server_closed_idle_connection(self, server):
         def run():
@@ -160,6 +204,18 @@ class TestKeepAliveTransport:
         with pytest.raises(TransportError):
             _in_thread(lambda: _ping(server.url))
         assert server.handled == 1
+        assert server.accepted == 1
+
+    def test_reset_after_reply_started_is_not_resent(self, server):
+        def run():
+            first = _ping(server.url)
+            server.mode = "reset_after_status"
+            with pytest.raises(TransportError):
+                _ping(server.url)  # on the kept-alive connection
+            return first
+
+        assert _in_thread(run) == "pong"
+        assert server.handled == 2
         assert server.accepted == 1
 
     def test_timeout_is_transport_error_and_drops_the_connection(self, server):
