@@ -22,8 +22,7 @@ from pathlib import Path
 from .backends import GenerationOptions, HttpBackend, StubBackend
 from .dataset import DatasetManifest, load_dataset
 from .errors import ConfigError, EmptyDataset, EvalKitError, ParseError, SchemaError
-from .estimators import score_item
-from .filters import ExtractionRule, ExtractionStatus, QuestionType, extract_answer
+from .filters import ExtractionRule, ExtractionStatus, QuestionType
 from .prompts import PromptTemplate
 from .report import EMITTERS, aggregate, report_to_markdown
 from .runner import (
@@ -33,6 +32,7 @@ from .runner import (
     records_to_jsonl,
     run_generation_eval,
     run_ppl_eval,
+    score_response,
     write_run_output,
     write_text_atomic,
 )
@@ -194,26 +194,13 @@ def cmd_score(args) -> int:
         if record.error is not None or record.response_text is None:
             rescored.append(record)
             continue
-        extracted = extract_answer(
-            record.response_text, item.question_type, item.choices, config.extraction_rules
-        )
-        stored = record.extracted
-        if (extracted.status is ExtractionStatus.UNEXTRACTED and stored is not None
-                and stored.status is ExtractionStatus.MODEL_EXTRACTED):
+        answer = record.extracted
+        fallback = None
+        if answer is not None and answer.status is ExtractionStatus.MODEL_EXTRACTED:
             # the extractor's answer came from a backend call, which score never makes
-            extracted = stored
-        outcomes = tuple(score_item(item, extracted, manifest.metrics))
-        rescored.append(
-            RunRecord(
-                item_id=item.id,
-                prompt_digest=record.prompt_digest,
-                category=item.category,
-                ground_truth=item.answer,
-                response_text=record.response_text,
-                extracted=extracted,
-                outcomes=outcomes,
-            )
-        )
+            fallback = lambda: answer
+        rescored.append(score_response(item, record.prompt_digest, record.response_text,
+                                       config, manifest.metrics, fallback))
 
     if args.out:
         write_text_atomic(args.out, records_to_jsonl(rescored))
@@ -244,7 +231,10 @@ def cmd_report(args) -> int:
         meta_path = record_file.with_name("run_meta.json")
         dataset = model = "unknown"
         if meta_path.exists():
-            meta = json.loads(meta_path.read_text(encoding="utf-8"))
+            try:
+                meta = json.loads(meta_path.read_text(encoding="utf-8"))
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"{meta_path}: not JSON: {exc}") from exc
             dataset = meta.get("dataset", dataset)
             model = meta.get("model", model)
         records = read_records(record_file)
@@ -252,7 +242,7 @@ def cmd_report(args) -> int:
         chunks.append(emitter(aggregate(records, manifest, model_name=model)))
     text = "\n".join(chunks) if args.format == "md" else "".join(chunks)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        write_text_atomic(args.out, text)
     else:
         print(text, end="")
     return EXIT_OK

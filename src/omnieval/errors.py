@@ -12,7 +12,8 @@ class ConfigError(EvalKitError):
 # --- dataset loading -------------------------------------------------------
 
 class ParseError(EvalKitError):
-    """Dataset file is not well-formed JSON."""
+    """A dataset file, or a stored ``records.jsonl`` or ``run_meta.json``, is
+    not well-formed."""
 
 
 class SchemaError(EvalKitError):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import EmptyReferences
 from .filters import ExtractedAnswer, ExtractionStatus, QuestionType, normalize_text
@@ -68,48 +68,21 @@ def _closest_ref_len(refs_tokens: list[list[str]], c: int) -> int:
 
 
 def bleu(candidate: str, references: Sequence[str]) -> float:
-    """Sentence-level BLEU, max order 4.
-
-    Modified (clipped) n-gram precision with multi-reference clipping. p1 is
-    unsmoothed; higher orders get add-one smoothing; orders where the
-    candidate has no n-grams are dropped from the geometric mean. Brevity
-    penalty exp(1 - r/c) applies when the candidate is shorter than the
-    closest reference. An empty candidate scores 0.
-    """
+    """Sentence-level BLEU: ``corpus_bleu`` over the one candidate/references pair."""
     if not references:
         raise EmptyReferences("bleu needs at least one reference")
-    cand = tokenize(candidate)
-    refs = [tokenize(r) for r in references]
-    if not cand:
-        return 0.0
-
-    log_sum = 0.0
-    orders = 0
-    for n in range(1, MAX_BLEU_ORDER + 1):
-        cand_counts = _ngram_counts(cand, n)
-        total = max(len(cand) - n + 1, 0)
-        if total == 0:
-            continue
-        matched = _clipped_matches(cand_counts, refs, n)
-        if n == 1:
-            if matched == 0:
-                return 0.0
-            p = matched / total
-        else:
-            p = (matched + 1) / (total + 1)
-        log_sum += math.log(p)
-        orders += 1
-
-    geo = math.exp(log_sum / orders)
-    c = len(cand)
-    r = _closest_ref_len(refs, c)
-    bp = math.exp(1.0 - r / c) if c < r else 1.0
-    return bp * geo
+    return corpus_bleu([candidate], [references])
 
 
 def corpus_bleu(candidates: Sequence[str], references: Sequence[Sequence[str]]) -> float:
-    """Micro-averaged corpus BLEU: n-gram counts pooled over all pairs before
-    the precisions are formed. Same smoothing and brevity rules as ``bleu``.
+    """Micro-averaged corpus BLEU, max order 4: n-gram counts pooled over all
+    pairs before the precisions are formed.
+
+    Modified (clipped) n-gram precision with multi-reference clipping. p1 is
+    unsmoothed; higher orders get add-one smoothing; orders where the
+    candidates have no n-grams are dropped from the geometric mean. Brevity
+    penalty exp(1 - r/c) applies when the pooled candidate length c is below
+    the pooled closest-reference length r. Empty candidates score 0.
     """
     if len(candidates) != len(references):
         raise ValueError("candidates and references must pair up")
@@ -222,13 +195,11 @@ class MetricValue:
             raise ValueError("a metric value needs at least one supporting item")
 
 
-@dataclass(frozen=True)
-class QuestionOutcome:
-    item_id: str
+class QuestionOutcome(NamedTuple):
+    """One metric's score for one item; the item's record holds the rest."""
+
     metric_name: str
     score: float
-    extracted: ExtractedAnswer
-    ground_truth: str | tuple[str, ...] | None
 
 
 @dataclass(frozen=True)
@@ -300,17 +271,15 @@ METRIC_REGISTRY: dict[str, MetricSpec] = {
 }
 
 
-def score_item(item, extracted: ExtractedAnswer, metric_names: Iterable[str]) -> list[QuestionOutcome]:
-    """Apply every applicable registered metric to one item."""
-    outcomes: list[QuestionOutcome] = []
-    seen: set[str] = set()
+def score_item(
+    item, extracted: ExtractedAnswer, metric_names: Iterable[str]
+) -> tuple[QuestionOutcome, ...]:
+    """Apply every applicable registered metric to one item. When two metrics
+    report the same name, the first one keeps it."""
+    scores: dict[str, float] = {}
     for name in metric_names:
         spec = METRIC_REGISTRY[name]
-        if item.question_type not in spec.applicable_types:
-            continue
-        for out_name, score in spec.fn(extracted, item).items():
-            if out_name in seen:
-                continue
-            seen.add(out_name)
-            outcomes.append(QuestionOutcome(item.id, out_name, score, extracted, item.answer))
-    return outcomes
+        if item.question_type in spec.applicable_types:
+            for out_name, score in spec.fn(extracted, item).items():
+                scores.setdefault(out_name, score)
+    return tuple(QuestionOutcome(name, score) for name, score in scores.items())

@@ -13,13 +13,12 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 from .dataset import DatasetManifest
 from .errors import EmptyRun
 from .estimators import MetricValue, corpus_bleu
 from .filters import ExtractionStatus
-from .runner import RunRecord
+from .runner import RunRecord, write_text_atomic
 
 OVERALL = "__all__"
 UNCATEGORIZED = "uncategorized"
@@ -216,4 +215,4 @@ def emit_report(report: MetricReport, format: str, destination) -> None:
     OSError (IOError)."""
     if format not in EMITTERS:
         raise ValueError(f"unknown report format {format!r}")
-    Path(destination).write_text(EMITTERS[format](report), encoding="utf-8")
+    write_text_atomic(destination, EMITTERS[format](report))

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .backends.base import Backend, GenerationOptions, LoglikelihoodResult, ModelResponse
 from .dataset import DatasetManifest, EvalItem
-from .errors import ConfigError, RateLimited, TransportError
+from .errors import ConfigError, ParseError, RateLimited, TransportError
 from .estimators import METRIC_REGISTRY, QuestionOutcome, score_choice_exact, score_item
 from .filters import (
     LETTERS,
@@ -66,6 +66,8 @@ class RunConfig:
             raise ConfigError("backoff_base_ms must be positive")
         if self.num_shots < 0:
             raise ConfigError("num_shots must be >= 0")
+        if self.limit is not None and self.limit < 1:
+            raise ConfigError("limit must be >= 1")
         for name in self.default_metrics:
             if name not in METRIC_REGISTRY:
                 raise ConfigError(f"unknown metric {name!r} in default_metrics")
@@ -121,21 +123,16 @@ class RunRecord:
                 raw.get("raw_span"),
             )
         truth = data.get("ground_truth")
-        truth = tuple(truth) if isinstance(truth, list) else truth
-        outcomes = tuple(
-            QuestionOutcome(data["item_id"], o["metric"], o["score"], extracted, truth)
-            for o in data.get("outcomes", [])
-        )
         logprobs = data.get("choice_logprobs")
         return cls(
             item_id=data["item_id"],
             prompt_digest=data.get("prompt_digest", ""),
             category=data.get("category"),
-            ground_truth=truth,
+            ground_truth=tuple(truth) if isinstance(truth, list) else truth,
             response_text=data.get("response_text"),
             choice_logprobs=tuple(logprobs) if logprobs else None,
             extracted=extracted,
-            outcomes=outcomes,
+            outcomes=tuple(QuestionOutcome(o["metric"], o["score"]) for o in data.get("outcomes", [])),
             error=data.get("error"),
         )
 
@@ -319,8 +316,6 @@ class _CachedExtractor:
 
 def _run_parallel(items, config: RunConfig, task, cache: ResponseCache | None) -> list[RunRecord]:
     """``task`` over the items in a pool, in item order; closes the run's cache."""
-    if config.limit is not None:
-        items = items[: config.limit]
     try:
         with ThreadPoolExecutor(max_workers=config.concurrency_limit) as pool:
             futures = [pool.submit(task, item) for item in items]
@@ -345,6 +340,31 @@ def _metric_names(manifest: DatasetManifest | None, config: RunConfig) -> tuple[
     return manifest.metrics if manifest is not None else config.default_metrics
 
 
+def score_response(
+    item: EvalItem,
+    digest: str,
+    text: str,
+    config: RunConfig,
+    metrics: tuple[str, ...],
+    fallback=None,
+) -> RunRecord:
+    """Extract the answer from a generated response and score it: the one
+    path that ``eval`` and ``score`` share. ``fallback()`` gives the answer
+    when the regex bank finds none."""
+    extracted = extract_answer(text, item.question_type, item.choices, config.extraction_rules)
+    if extracted.status is ExtractionStatus.UNEXTRACTED and fallback is not None:
+        extracted = fallback()
+    return RunRecord(
+        item_id=item.id,
+        prompt_digest=digest,
+        category=item.category,
+        ground_truth=item.answer,
+        response_text=text,
+        extracted=extracted,
+        outcomes=score_item(item, extracted, metrics),
+    )
+
+
 def run_generation_eval(
     items: list[EvalItem],
     backend: Backend,
@@ -352,6 +372,7 @@ def run_generation_eval(
     manifest: DatasetManifest | None = None,
 ) -> list[RunRecord]:
     """Generation mode: prompt -> generate -> extract -> score, per item."""
+    items = items[: config.limit]
     caps = backend.capabilities()
     if not caps.supports_generation:
         raise ConfigError(f"backend {caps.model_name!r} does not support generation")
@@ -366,28 +387,16 @@ def run_generation_eval(
         try:
             bundle = render_prompt(item, config.template, config.use_cot, config.num_shots)
             digest = generate_key(caps.model_name, bundle, config.generation)
-            response = _cached(cache, digest, "generate",
-                               _retrying(config, backend.generate, bundle, config.generation))
-            extracted = extract_answer(
-                response.text, item.question_type, item.choices, config.extraction_rules
-            )
-            if extracted.status is ExtractionStatus.UNEXTRACTED and extractor is not None:
-                extracted = model_extract(
-                    response.text, item.question_type, item.choices,
-                    extractor, config.extraction_rules,
+            text = _cached(cache, digest, "generate",
+                           _retrying(config, backend.generate, bundle, config.generation)).text
+            fallback = None
+            if extractor is not None:
+                fallback = lambda: model_extract(
+                    text, item.question_type, item.choices, extractor, config.extraction_rules
                 )
-            outcomes = tuple(score_item(item, extracted, metrics))
+            return score_response(item, digest, text, config, metrics, fallback)
         except Exception as exc:
             return _soft_fail(item, digest, exc)
-        return RunRecord(
-            item_id=item.id,
-            prompt_digest=digest,
-            category=item.category,
-            ground_truth=item.answer,
-            response_text=response.text,
-            extracted=extracted,
-            outcomes=outcomes,
-        )
 
     return _run_parallel(items, config, task, cache)
 
@@ -404,6 +413,7 @@ def run_ppl_eval(
     of the total logprob; the argmax of the per-character-normalized logprob
     is scored separately as accuracy_norm. Ties break to the lowest index.
     """
+    items = items[: config.limit]
     caps = backend.capabilities()
     if not caps.supports_loglikelihood:
         raise ConfigError(f"backend {caps.model_name!r} does not support loglikelihood")
@@ -441,13 +451,8 @@ def run_ppl_eval(
         predicted_norm = _argmax_letter(per_choice, "normalized_logprob")
         extracted = ExtractedAnswer(predicted, ExtractionStatus.EXTRACTED, "ppl_argmax", predicted)
         outcomes = (
-            QuestionOutcome(item.id, "accuracy", score_choice_exact(extracted, item.answer),
-                            extracted, item.answer),
-            QuestionOutcome(
-                item.id, "accuracy_norm",
-                1.0 if predicted_norm == item.answer else 0.0,
-                extracted, item.answer,
-            ),
+            QuestionOutcome("accuracy", score_choice_exact(extracted, item.answer)),
+            QuestionOutcome("accuracy_norm", 1.0 if predicted_norm == item.answer else 0.0),
         )
         return RunRecord(
             item_id=item.id,
@@ -491,8 +496,21 @@ def write_text_atomic(path, text: str) -> None:
 
 
 def read_records(path) -> list[RunRecord]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    return [RunRecord.from_dict(json.loads(line)) for line in lines if line.strip()]
+    """The records of a ``records.jsonl``. A line that does not hold a record
+    raises ``ParseError`` naming the file and the 1-based line number."""
+    records = []
+    # bytes, not str: str.splitlines also splits at U+0085 and U+2028, which records keep raw
+    for number, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            data = json.loads(line)
+            if not isinstance(data, dict) or "item_id" not in data:
+                raise ValueError("expected a JSON object with an item_id")
+            records.append(RunRecord.from_dict(data))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ParseError(f"{path}, line {number}: not a record: {exc}") from exc
+    return records
 
 
 def write_run_output(

@@ -1,9 +1,11 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
 
 from omnieval.cli import main
+from omnieval.estimators import METRIC_REGISTRY
 
 from conftest import FIXTURE_REPLIES
 
@@ -60,6 +62,21 @@ class TestEval:
         main(["eval", "--config", str(config), "--limit", "2"])
         records_path = tmp_path / "runs" / "fixture10" / "stub" / "records.jsonl"
         assert len(records_path.read_text(encoding="utf-8").splitlines()) == 2
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_limit_below_one_is_refused(self, tmp_path, fixture_dataset_path, capsys, limit):
+        config = make_config(tmp_path, fixture_dataset_path, replies=FIXTURE_REPLIES)
+        assert main(["eval", "--config", str(config), "--limit", limit]) == 1
+        assert "limit must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_ppl_limit_applies_before_choices_check(self, tmp_path, fixture_dataset_path):
+        # q01-q05 have choices, q06 onwards do not
+        config = make_config(tmp_path, fixture_dataset_path, mode="ppl")
+        assert main(["eval", "--config", str(config), "--limit", "5"]) == 0
+        records_path = tmp_path / "runs" / "fixture10" / "stub" / "records.jsonl"
+        lines = records_path.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["item_id"] for line in lines] == ["q01", "q02", "q03", "q04", "q05"]
 
     def test_shots_and_cot_flags(self, tmp_path):
         dataset = tmp_path / "shots.json"
@@ -179,8 +196,13 @@ class TestConfigExtras:
 
 
 class TestScore:
-    def test_rescore_without_backend(self, tmp_path, fixture_dataset_path, capsys):
-        config = make_config(tmp_path, fixture_dataset_path, replies=FIXTURE_REPLIES)
+    @pytest.mark.parametrize("metrics", [["accuracy"], list(METRIC_REGISTRY)], ids=["accuracy", "all"])
+    def test_rescore_without_backend(self, tmp_path, fixture_dataset_path, capsys, metrics):
+        dataset = json.loads(fixture_dataset_path.read_text(encoding="utf-8"))
+        dataset["meta"]["metrics"] = metrics
+        dataset_path = tmp_path / "fixture.json"
+        dataset_path.write_text(json.dumps(dataset), encoding="utf-8")
+        config = make_config(tmp_path, dataset_path, replies=FIXTURE_REPLIES)
         main(["eval", "--config", str(config)])
         capsys.readouterr()
         records = tmp_path / "runs" / "fixture10" / "stub" / "records.jsonl"
@@ -189,13 +211,50 @@ class TestScore:
             [
                 "score",
                 "--records", str(records),
-                "--dataset", str(fixture_dataset_path),
+                "--dataset", str(dataset_path),
                 "--out", str(out_path),
             ]
         )
         assert code == 0
         assert "0.7000" in capsys.readouterr().out
         assert out_path.read_text(encoding="utf-8") == records.read_text(encoding="utf-8")
+
+    def test_rescore_response_with_line_separators(self, tmp_path, fixture_dataset_path):
+        # U+2028 and U+0085 stay raw in records.jsonl; str.splitlines would split there
+        replies = {**FIXTURE_REPLIES, "q10": "Paris is\u2028the capital\u0085of France."}
+        config = make_config(tmp_path, fixture_dataset_path, replies=replies)
+        assert main(["eval", "--config", str(config)]) == 0
+        records = tmp_path / "runs" / "fixture10" / "stub" / "records.jsonl"
+        out_path = tmp_path / "rescored.jsonl"
+        assert main(["score", "--records", str(records), "--dataset", str(fixture_dataset_path),
+                     "--out", str(out_path)]) == 0
+        assert out_path.read_bytes() == records.read_bytes()
+
+    @pytest.mark.parametrize(
+        "damage,message",
+        [
+            (lambda text: text[:-20], "line 10: not a record: Unterminated string"),
+            (lambda text: text + "[1, 2]\n", "line 11: not a record: expected a JSON object"),
+            (lambda text: text + '{"prompt_digest": "d"}\n',
+             "line 11: not a record: expected a JSON object"),
+            (lambda text: text.replace('"status":"extracted"', '"status":"bogus"', 1),
+             "line 1: not a record: 'bogus' is not a valid ExtractionStatus"),
+            (lambda text: "\udcff" + text, "line 1: not a record: 'utf-8' codec can't decode"),
+        ],
+        ids=["truncated", "not_an_object", "no_item_id", "bad_status", "not_utf8"],
+    )
+    def test_unreadable_records(self, tmp_path, fixture_dataset_path, capsys, damage, message):
+        config = make_config(tmp_path, fixture_dataset_path, replies=FIXTURE_REPLIES)
+        main(["eval", "--config", str(config)])
+        records = tmp_path / "runs" / "fixture10" / "stub" / "records.jsonl"
+        damaged = damage(records.read_text(encoding="utf-8"))
+        records.write_bytes(damaged.encode("utf-8", errors="surrogateescape"))
+        capsys.readouterr()
+        code = main(["score", "--records", str(records), "--dataset", str(fixture_dataset_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{records}, {message}" in err
 
     def test_rescore_keeps_model_extracted_answer(self, tmp_path, capsys):
         dataset = tmp_path / "two.json"
@@ -253,6 +312,32 @@ class TestReportCommand:
         lines = [json.loads(l) for l in capsys.readouterr().out.splitlines() if l.strip()]
         assert lines[0]["type"] == "summary"
         assert lines[0]["extraction_failure_rate"] == pytest.approx(0.1)
+
+    def test_unreadable_run_meta(self, tmp_path, fixture_dataset_path, capsys):
+        runs = self._run(tmp_path, fixture_dataset_path)
+        meta_path = runs / "fixture10" / "stub" / "run_meta.json"
+        meta_path.write_text("{not json", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--runs", str(runs)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{meta_path}: not JSON" in err
+
+    def test_failed_replace_keeps_previous_report(self, tmp_path, fixture_dataset_path, monkeypatch):
+        runs = self._run(tmp_path, fixture_dataset_path)
+        out_dir = tmp_path / "reports"
+        out_dir.mkdir()
+        out_path = out_dir / "report.md"
+        assert main(["report", "--runs", str(runs), "--out", str(out_path)]) == 0
+        before = out_path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        assert main(["report", "--runs", str(runs), "--format", "csv", "--out", str(out_path)]) == 1
+        assert out_path.read_bytes() == before
+        assert [p.name for p in out_dir.iterdir()] == ["report.md"]
 
     def test_empty_runs_dir(self, tmp_path):
         assert main(["report", "--runs", str(tmp_path)]) == 1

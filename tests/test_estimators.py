@@ -16,8 +16,10 @@ from omnieval import (
     score_fill_blank,
     score_multi_choice,
 )
+from omnieval.dataset import EvalItem
 from omnieval.errors import EmptyReferences
-from omnieval.estimators import lcs_length
+from omnieval.estimators import lcs_length, score_item
+from omnieval.filters import QuestionType
 from oracles import brute_bleu, brute_lcs, brute_rouge_l, brute_rouge_n
 
 # Frozen from the hand-evaluated formula (= (1/24) ** 0.25), confirmed by the
@@ -51,6 +53,18 @@ class TestExactScorers:
     )
     def test_fill_blank(self, extracted, truth, expected):
         assert score_fill_blank(extracted, truth) == expected
+
+
+class TestScoreItem:
+    def test_name_reported_by_two_metrics_is_kept_once(self):
+        item = EvalItem(id="m1", instruction="pick", question_type=QuestionType.MULTIPLE_CHOICE,
+                        answer=("A", "C"), choices=("w", "x", "y", "z"))
+        extracted = ExtractedAnswer(("A",), ExtractionStatus.EXTRACTED, "test")
+        outcomes = score_item(item, extracted, ["accuracy", "multi_choice_exact"])
+        assert [o.metric_name for o in outcomes] == [
+            "accuracy", "multi_choice_jaccard", "multi_choice_exact"
+        ]
+        assert [o.score for o in outcomes] == [0.0, 0.5, 0.0]
 
 
 class TestBleu:

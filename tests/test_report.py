@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -30,7 +31,7 @@ def simple_record(i, score, category=None, error=None):
         return RunRecord(item_id=f"r{i}", prompt_digest="d", category=category,
                          ground_truth="A", error=error)
     extracted = ExtractedAnswer("A", ExtractionStatus.EXTRACTED, "test")
-    outcome = QuestionOutcome(f"r{i}", "accuracy", score, extracted, "A")
+    outcome = QuestionOutcome("accuracy", score)
     return RunRecord(
         item_id=f"r{i}", prompt_digest="d", category=category, ground_truth="A",
         response_text="A", extracted=extracted, outcomes=(outcome,),
@@ -170,6 +171,20 @@ class TestEmission:
         destination = tmp_path / "out.csv"
         emit_report(self._report(), "csv", destination)
         assert destination.read_text(encoding="utf-8").startswith("dataset,model")
+
+    def test_emit_failed_replace_keeps_previous_file(self, tmp_path, monkeypatch):
+        destination = tmp_path / "out.csv"
+        emit_report(self._report(), "csv", destination)
+        before = destination.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            emit_report(self._report(), "md", destination)
+        assert destination.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
