@@ -103,16 +103,10 @@ def build_run_config(raw: dict) -> RunConfig:
         for r in raw.get("extraction_rules", [])
     )
     qtype = raw.get("default_question_type")
+    plain = ("mode", "num_shots", "use_cot", "concurrency_limit", "max_retries", "backoff_base_ms",
+             "limit", "cache_dir", "output_dir")
     return RunConfig(
-        mode=raw.get("mode", "generate"),
-        num_shots=raw.get("num_shots", 0),
-        use_cot=raw.get("use_cot", False),
-        concurrency_limit=raw.get("concurrency_limit", 4),
-        max_retries=raw.get("max_retries", 3),
-        backoff_base_ms=raw.get("backoff_base_ms", 500),
-        limit=raw.get("limit"),
-        cache_dir=raw.get("cache_dir"),
-        output_dir=raw.get("output_dir"),
+        **{name: raw[name] for name in plain if name in raw},  # RunConfig holds the defaults
         generation=generation,
         template=template,
         extractor=extractor,

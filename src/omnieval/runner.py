@@ -14,7 +14,6 @@ import os
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -58,16 +57,18 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in ("generate", "ppl"):
             raise ConfigError(f"mode must be 'generate' or 'ppl', got {self.mode!r}")
-        if self.concurrency_limit < 1:
-            raise ConfigError("concurrency_limit must be >= 1")
-        if self.max_retries < 0:
-            raise ConfigError("max_retries must be >= 0")
-        if self.backoff_base_ms < 1:
-            raise ConfigError("backoff_base_ms must be positive")
-        if self.num_shots < 0:
-            raise ConfigError("num_shots must be >= 0")
-        if self.limit is not None and self.limit < 1:
-            raise ConfigError("limit must be >= 1")
+        if type(self.use_cot) is not bool:
+            raise ConfigError(f"use_cot must be true or false, got {self.use_cot!r}")
+        for name, least in (("num_shots", 0), ("concurrency_limit", 1), ("max_retries", 0),
+                            ("backoff_base_ms", 1), ("limit", 1)):
+            value = getattr(self, name)
+            if value is None and name == "limit":
+                continue
+            # type(), not isinstance(): a bool is an int, but true is no count
+            if type(value) is not int:
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ConfigError(f"{name} must be >= {least}")
         for name in self.default_metrics:
             if name not in METRIC_REGISTRY:
                 raise ConfigError(f"unknown metric {name!r} in default_metrics")
@@ -174,7 +175,8 @@ class ResponseCache:
     ``os.write``, so entries of processes sharing the directory do not
     interleave. The newest entry for a key wins, which makes interrupted runs
     resumable. A line torn by a kill mid-append is skipped, so only its own
-    key is refetched. ``close`` releases the shard descriptors.
+    key is refetched. ``close`` releases the shard descriptors; a ``put``
+    after it raises, so a worker still running then cannot reopen one.
     """
 
     def __init__(self, cache_dir):
@@ -183,7 +185,7 @@ class ResponseCache:
         self._lock = threading.Lock()
         self._shards: dict[str, dict[str, dict]] = {}
         self._unterminated: set[str] = set()
-        self._fds: dict[str, int] = {}
+        self._fds: dict[str, int] | None = {}
 
     def _shard(self, key: str) -> dict[str, dict]:
         name = key[:2]
@@ -192,15 +194,15 @@ class ResponseCache:
                 index: dict[str, dict] = {}
                 shard_path = self.cache_dir / f"{name}.jsonl"
                 if shard_path.exists():
-                    # a torn line may end inside a multi-byte character
-                    text = shard_path.read_text(encoding="utf-8", errors="replace")
+                    data = shard_path.read_bytes()
                     torn = 0
-                    for line in text.splitlines():
+                    # bytes, not str: str.splitlines also splits at U+0085 and U+2028, which entries keep raw
+                    for line in data.split(b"\n"):
                         if not line.strip():
                             continue
                         try:
                             entry = json.loads(line)
-                        except json.JSONDecodeError:
+                        except ValueError:  # not JSON, or torn inside a multi-byte character
                             entry = None
                         if not isinstance(entry, dict) or "key" not in entry:
                             torn += 1
@@ -208,7 +210,7 @@ class ResponseCache:
                         index[entry["key"]] = entry
                     if torn:
                         logger.warning("cache shard %s: skipped %d unreadable line(s)", shard_path, torn)
-                    if text and not text.endswith("\n"):
+                    if data and not data.endswith(b"\n"):
                         # a torn last line: start the next entry on a line of its own
                         self._unterminated.add(name)
                 self._shards[name] = index
@@ -233,6 +235,8 @@ class ResponseCache:
         shard = self._shard(key)
         name = key[:2]
         with self._lock:
+            if self._fds is None:
+                raise ValueError(f"cache {self.cache_dir} is closed")
             if name in self._unterminated:
                 line = b"\n" + line
             fd = self._fds.get(name)
@@ -250,9 +254,9 @@ class ResponseCache:
 
     def close(self):
         with self._lock:
-            for fd in self._fds.values():
+            for fd in (self._fds or {}).values():
                 os.close(fd)
-            self._fds.clear()
+            self._fds = None
 
 
 # --- retries -----------------------------------------------------------------
@@ -278,66 +282,20 @@ def with_retries(thunk, *, max_retries: int = 3, backoff_base_ms: int = 500, sle
             attempt += 1
 
 
-# --- evaluation loops --------------------------------------------------------
+# --- evaluation --------------------------------------------------------------
 
-def _cached(cache: ResponseCache | None, key: str, kind: str, fetch):
-    """The cached reply for ``key``, else ``fetch()``'s, which is then cached.
-    A failed fetch raises and caches nothing."""
-    response = cache.get(key) if cache else None
-    if response is None:
-        response = fetch()
-        if cache:
-            cache.put(key, kind, response)
-    return response
-
-
-def _retrying(config: RunConfig, call, *args):
-    return lambda: with_retries(
-        lambda: call(*args), max_retries=config.max_retries, backoff_base_ms=config.backoff_base_ms
-    )
-
-
-class _CachedExtractor:
+class _Extractor:
     """An extractor backend whose generate calls go through the run's
-    response cache, so a warm rerun sends it nothing."""
+    ``call``, so they are cached and retried like the model's."""
 
-    def __init__(self, backend: Backend, cache: ResponseCache):
+    def __init__(self, backend: Backend, call):
+        self.capabilities = backend.capabilities
         self._backend = backend
-        self._cache = cache
-        self._caps = backend.capabilities()
-
-    def capabilities(self):
-        return self._caps
+        self._call = call
 
     def generate(self, bundle: PromptBundle, options: GenerationOptions) -> ModelResponse:
-        key = generate_key(self._caps.model_name, bundle, options)
-        return _cached(self._cache, key, "generate", lambda: self._backend.generate(bundle, options))
-
-
-def _run_parallel(items, config: RunConfig, task, cache: ResponseCache | None) -> list[RunRecord]:
-    """``task`` over the items in a pool, in item order; closes the run's cache."""
-    try:
-        with ThreadPoolExecutor(max_workers=config.concurrency_limit) as pool:
-            futures = [pool.submit(task, item) for item in items]
-            return [f.result() for f in futures]
-    finally:
-        if cache:
-            cache.close()
-
-
-def _soft_fail(item: EvalItem, digest: str, exc: Exception) -> RunRecord:
-    logger.warning("item %s failed: %s", item.id, exc)
-    return RunRecord(
-        item_id=item.id,
-        prompt_digest=digest,
-        category=item.category,
-        ground_truth=item.answer,
-        error=f"{type(exc).__name__}: {exc}",
-    )
-
-
-def _metric_names(manifest: DatasetManifest | None, config: RunConfig) -> tuple[str, ...]:
-    return manifest.metrics if manifest is not None else config.default_metrics
+        key = generate_key(self.capabilities().model_name, bundle, options)
+        return self._call(key, "generate", self._backend.generate, bundle, options)
 
 
 def score_response(
@@ -365,30 +323,82 @@ def score_response(
     )
 
 
-def run_generation_eval(
+def _ppl_record(item: EvalItem, digest: str, results: list[LoglikelihoodResult]) -> RunRecord:
+    per_choice = [
+        {"letter": LETTERS[i], **result.to_dict(), "normalized_logprob": result.per_char_logprob}
+        for i, result in enumerate(results)
+    ]
+    # ties break to the lowest index
+    predicted = LETTERS[max(range(len(results)), key=lambda i: (results[i].total_logprob, -i))]
+    predicted_norm = LETTERS[max(range(len(results)), key=lambda i: (results[i].per_char_logprob, -i))]
+    extracted = ExtractedAnswer(predicted, ExtractionStatus.EXTRACTED, "ppl_argmax", predicted)
+    outcomes = (
+        QuestionOutcome("accuracy", score_choice_exact(extracted, item.answer)),
+        QuestionOutcome("accuracy_norm", 1.0 if predicted_norm == item.answer else 0.0),
+    )
+    return RunRecord(
+        item_id=item.id,
+        prompt_digest=digest,
+        category=item.category,
+        ground_truth=item.answer,
+        choice_logprobs=tuple(per_choice),
+        extracted=extracted,
+        outcomes=outcomes,
+    )
+
+
+def _run(
+    mode: str,
     items: list[EvalItem],
     backend: Backend,
     config: RunConfig,
-    manifest: DatasetManifest | None = None,
+    manifest: DatasetManifest | None,
 ) -> list[RunRecord]:
-    """Generation mode: prompt -> generate -> extract -> score, per item."""
+    """The one execution path of both modes: the set-up they share, then one
+    task per item on worker threads. Only the task's body after the prompt
+    is rendered depends on the mode."""
     items = items[: config.limit]
     caps = backend.capabilities()
-    if not caps.supports_generation:
-        raise ConfigError(f"backend {caps.model_name!r} does not support generation")
+    ppl = mode == "ppl"
+    capability = "loglikelihood" if ppl else "generation"
+    if not getattr(caps, f"supports_{capability}"):
+        raise ConfigError(f"backend {caps.model_name!r} does not support {capability}")
+    if ppl:
+        for item in items:
+            if not item.choices:
+                raise ConfigError(f"ppl mode requires choices on every item; {item.id!r} has none")
     cache = ResponseCache(config.cache_dir) if config.cache_dir else None
-    metrics = _metric_names(manifest, config)
-    extractor = config.extractor
-    if extractor is not None and cache is not None:
-        extractor = _CachedExtractor(extractor, cache)
+    metrics = manifest.metrics if manifest is not None else config.default_metrics
+
+    def call(key: str, kind: str, fetch, *args):
+        """The cached reply for ``key``, else ``fetch(*args)``'s, made with
+        retries and then cached. A failed fetch raises and caches nothing."""
+        response = cache.get(key) if cache else None
+        if response is None:
+            response = with_retries(lambda: fetch(*args), max_retries=config.max_retries,
+                                    backoff_base_ms=config.backoff_base_ms)
+            if cache:
+                cache.put(key, kind, response)
+        return response
+
+    extractor = _Extractor(config.extractor, call) if config.extractor else None
 
     def task(item: EvalItem) -> RunRecord:
         digest = ""
         try:
             bundle = render_prompt(item, config.template, config.use_cot, config.num_shots)
+            if ppl:
+                context = flatten_bundle(bundle, config.template.exemplar_separator)
+                digest = cache_key(caps.model_name, {"kind": "ppl_context", "context": context}, None)
+                results = []
+                for choice in item.choices:
+                    continuation = " " + choice
+                    request = {"kind": "loglikelihood", "context": context, "continuation": continuation}
+                    key = cache_key(caps.model_name, request, None)
+                    results.append(call(key, "loglikelihood", backend.loglikelihood, context, continuation))
+                return _ppl_record(item, digest, results)
             digest = generate_key(caps.model_name, bundle, config.generation)
-            text = _cached(cache, digest, "generate",
-                           _retrying(config, backend.generate, bundle, config.generation)).text
+            text = call(digest, "generate", backend.generate, bundle, config.generation).text
             fallback = None
             if extractor is not None:
                 fallback = lambda: model_extract(
@@ -396,9 +406,60 @@ def run_generation_eval(
                 )
             return score_response(item, digest, text, config, metrics, fallback)
         except Exception as exc:
-            return _soft_fail(item, digest, exc)
+            logger.warning("item %s failed: %s", item.id, exc)
+            return RunRecord(item.id, digest, item.category, item.answer,
+                             error=f"{type(exc).__name__}: {exc}")
 
-    return _run_parallel(items, config, task, cache)
+    try:
+        return _on_workers(task, items, config.concurrency_limit)
+    finally:
+        if cache:
+            cache.close()
+
+
+def _on_workers(task, items: list, limit: int) -> list:
+    """``task`` over ``items`` on ``min(limit, len(items))`` threads, results
+    in item order; the caller only waits. The first exception a task lets
+    through stops the workers taking items and is raised once they have
+    ended. An interrupt of the wait stops them too, and is raised at once."""
+    results = [None] * len(items)
+    indices = iter(range(len(items)))
+    lock = threading.Lock()
+    raised: list[BaseException] = []
+
+    def work():
+        try:
+            while not raised:
+                with lock:
+                    i = next(indices, None)
+                if i is None:
+                    return
+                results[i] = task(items[i])
+        except BaseException as exc:  # raised again by the caller
+            raised.append(exc)
+
+    workers = [threading.Thread(target=work, name="omnieval-worker") for _ in range(min(limit, len(items)))]
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+    except BaseException as exc:  # an interrupt, or no thread to start: finish the items held, no more
+        raised.append(exc)
+        raise
+    if raised:
+        raise raised[0]
+    return results
+
+
+def run_generation_eval(
+    items: list[EvalItem],
+    backend: Backend,
+    config: RunConfig,
+    manifest: DatasetManifest | None = None,
+) -> list[RunRecord]:
+    """Generation mode: prompt -> generate -> extract -> score, per item."""
+    return _run("generate", items, backend, config, manifest)
 
 
 def run_ppl_eval(
@@ -413,63 +474,7 @@ def run_ppl_eval(
     of the total logprob; the argmax of the per-character-normalized logprob
     is scored separately as accuracy_norm. Ties break to the lowest index.
     """
-    items = items[: config.limit]
-    caps = backend.capabilities()
-    if not caps.supports_loglikelihood:
-        raise ConfigError(f"backend {caps.model_name!r} does not support loglikelihood")
-    for item in items:
-        if not item.choices:
-            raise ConfigError(f"ppl mode requires choices on every item; {item.id!r} has none")
-    cache = ResponseCache(config.cache_dir) if config.cache_dir else None
-
-    def task(item: EvalItem) -> RunRecord:
-        digest = ""
-        try:
-            bundle = render_prompt(item, config.template, config.use_cot, config.num_shots)
-            context = flatten_bundle(bundle, config.template.exemplar_separator)
-            digest = cache_key(caps.model_name, {"kind": "ppl_context", "context": context}, None)
-            per_choice = []
-            for i, choice in enumerate(item.choices):
-                continuation = " " + choice
-                request = {"kind": "loglikelihood", "context": context, "continuation": continuation}
-                key = cache_key(caps.model_name, request, None)
-                result = _cached(cache, key, "loglikelihood",
-                                 _retrying(config, backend.loglikelihood, context, continuation))
-                per_choice.append(
-                    {
-                        "letter": LETTERS[i],
-                        "total_logprob": result.total_logprob,
-                        "token_count": result.token_count,
-                        "continuation_chars": result.continuation_chars,
-                        "normalized_logprob": result.per_char_logprob,
-                    }
-                )
-        except Exception as exc:
-            return _soft_fail(item, digest, exc)
-
-        predicted = _argmax_letter(per_choice, "total_logprob")
-        predicted_norm = _argmax_letter(per_choice, "normalized_logprob")
-        extracted = ExtractedAnswer(predicted, ExtractionStatus.EXTRACTED, "ppl_argmax", predicted)
-        outcomes = (
-            QuestionOutcome("accuracy", score_choice_exact(extracted, item.answer)),
-            QuestionOutcome("accuracy_norm", 1.0 if predicted_norm == item.answer else 0.0),
-        )
-        return RunRecord(
-            item_id=item.id,
-            prompt_digest=digest,
-            category=item.category,
-            ground_truth=item.answer,
-            choice_logprobs=tuple(per_choice),
-            extracted=extracted,
-            outcomes=outcomes,
-        )
-
-    return _run_parallel(items, config, task, cache)
-
-
-def _argmax_letter(per_choice: list[dict], field_name: str) -> str:
-    best = max(range(len(per_choice)), key=lambda i: (per_choice[i][field_name], -i))
-    return per_choice[best]["letter"]
+    return _run("ppl", items, backend, config, manifest)
 
 
 # --- run outputs -------------------------------------------------------------

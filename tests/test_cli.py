@@ -70,6 +70,12 @@ class TestEval:
         assert "limit must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    def test_config_value_of_wrong_type(self, tmp_path, fixture_dataset_path, capsys):
+        config = make_config(tmp_path, fixture_dataset_path, extra={"limit": "5"})
+        assert main(["eval", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == "config error: limit must be an integer, got '5'\n"
+        assert not (tmp_path / "runs").exists()
+
     def test_ppl_limit_applies_before_choices_check(self, tmp_path, fixture_dataset_path):
         # q01-q05 have choices, q06 onwards do not
         config = make_config(tmp_path, fixture_dataset_path, mode="ppl")

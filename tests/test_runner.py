@@ -1,6 +1,8 @@
+import itertools
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import threading
@@ -20,9 +22,11 @@ from omnieval import (
     run_ppl_eval,
     with_retries,
 )
+from omnieval.backends.base import FinishReason, ModelResponse
 from omnieval.dataset import DatasetManifest, EvalItem
 from omnieval.errors import BackendRefused, ConfigError, RateLimited, TransportError
-from omnieval.runner import ResponseCache, RunRecord, records_to_jsonl, write_run_output
+from omnieval.prompts import PromptBundle, Turn
+from omnieval.runner import ResponseCache, RunRecord, generate_key, records_to_jsonl, write_run_output
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -65,6 +69,35 @@ class TestCacheKey:
 
     def test_model_changes_digest(self):
         assert cache_key("m1", self.REQUEST, None) != cache_key("m2", self.REQUEST, None)
+
+    # A changed key turns every existing cache cold, so the bytes are pinned.
+    def test_golden_generate_key(self):
+        bundle = PromptBundle("Answer briefly.", (
+            Turn("user", "2+2?"),
+            Turn("assistant", "4"),
+            Turn("user", "Capital of France? Paris or Rome", ("img.png",)),
+        ), item_id="q1")
+        options = GenerationOptions(temperature=0.5, stop_sequences=("\n",), seed=7)
+        assert generate_key("org/model-7b", bundle, options) == (
+            "8ccbfc09e951b99279ebb8eb2e9d0b8868b62637c402fe09f18722c89c996f14")
+        stub = StubBackend(model_name="org/model-7b", default_reply="A")
+        records = run_generation_eval([choice_item(1, ["Paris", "Rome"], "A")], stub, RunConfig())
+        assert records[0].prompt_digest == (
+            "5a4bf68b99e4debb1be64dcfd355d47a61df97588e290f9843a50910f480e116")
+
+    def test_golden_loglikelihood_key(self, tmp_path):
+        request = {"kind": "loglikelihood", "context": "Q: Capital of France?\nA:", "continuation": " Paris"}
+        assert cache_key("org/model-7b", request, None) == (
+            "8b5af4b2d8e0d9a696fe68eb7eaf631abd3a217ea1b522415d02a676acb72656")
+        config = RunConfig(mode="ppl", cache_dir=str(tmp_path))
+        records = run_ppl_eval([choice_item(1, ["Paris", "Rome"], "A")],
+                               StubBackend(model_name="org/model-7b"), config)
+        assert records[0].prompt_digest == (
+            "e6365e6672171bc45d307e7d04ac7f395117eae2948e63ba7df2a956df080ce5")
+        keys = {json.loads(line)["key"] for shard in tmp_path.glob("*.jsonl")
+                for line in shard.read_bytes().splitlines()}
+        assert keys == {"0742e6ce549f883e50f9d494a5554300b498c7802b8a1ac41384968c596b9e7e",
+                        "5839f72a697bbf44656fcc38bc506b7a079d0f670d7b7bc6de2a4be13207e7f3"}
 
 
 class TestWithRetries:
@@ -182,14 +215,38 @@ class TestGenerationEval:
     def test_failed_extractor_reply_is_not_cached(self, tmp_path):
         items = [choice_item(1, ["Paris", "Rome"], "B")]
         stub = StubBackend(scripted={"it001": "the second one, obviously"})
-        config = RunConfig(cache_dir=str(tmp_path / "cache"))
-        down = StubBackend(default_reply="B", failures=[TransportError("down")])
+        config = RunConfig(cache_dir=str(tmp_path / "cache"), backoff_base_ms=1)
+        failures = [TransportError("down")] * (config.max_retries + 1)
+        down = StubBackend(default_reply="B", failures=failures)
         first = run_generation_eval(items, stub, replace(config, extractor=down))
         assert first[0].extracted.status.value == "unextracted"
         up = StubBackend(default_reply="B")
         second = run_generation_eval(items, stub, replace(config, extractor=up))
         assert up.generate_calls == 1
         assert second[0].extracted.status.value == "model_extracted"
+
+    def test_extractor_call_is_retried(self):
+        items = [choice_item(1, ["Paris", "Rome"], "B")]
+        stub = StubBackend(scripted={"it001": "the second one, obviously"})
+        extractor = StubBackend(default_reply="B", failures=[RateLimited("slow down")])
+        config = RunConfig(extractor=extractor, backoff_base_ms=1)
+        records = run_generation_eval(items, stub, config)
+        assert records[0].extracted.status.value == "model_extracted"
+        assert extractor.generate_calls == 2
+
+    def test_warm_rerun_of_reply_with_line_separator(self, tmp_path, fixture_dataset_path,
+                                                      fixture_replies, caplog):
+        # canonical_json writes U+2028 raw; the shard reader must split at b"\n" only
+        manifest, items = load_dataset(fixture_dataset_path)
+        replies = {**fixture_replies, "q10": "Paris is\u2028the capital\u0085of France."}
+        config = RunConfig(cache_dir=str(tmp_path / "cache"))
+        cold = run_generation_eval(items, StubBackend(scripted=replies), config, manifest)
+        stub = StubBackend(scripted=replies)
+        with caplog.at_level("WARNING", logger="omnieval.runner"):
+            warm = run_generation_eval(items, stub, config, manifest)
+        assert stub.generate_calls == 0
+        assert not caplog.messages
+        assert records_to_jsonl(warm) == records_to_jsonl(cold)
 
     def test_torn_cache_line_fails_only_its_own_key(self, tmp_path, fixture_dataset_path,
                                                    fixture_replies, caplog):
@@ -256,12 +313,83 @@ class TestGenerationEval:
         records = run_generation_eval(items, stub, config)
         assert [r.item_id for r in records] == [i.id for i in items]
 
+    def test_every_item_runs_once_under_thread_switching(self):
+        items = [make_item(i) for i in range(400)]
+        stub = StubBackend()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            records = run_generation_eval(items, stub, RunConfig(concurrency_limit=16))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.item_id for r in records] == [i.id for i in items]
+        assert stub.generate_calls == len(items)
+
     def test_concurrency_high_water_mark(self):
         items = [make_item(i) for i in range(40)]
         stub = StubBackend(delay_s=0.005)
         records = run_generation_eval(items, stub, RunConfig(concurrency_limit=4))
         assert len(records) == 40
         assert stub.max_inflight <= 4
+
+    def test_workers_end_with_the_run(self):
+        threads_seen = set()
+        stub = StubBackend(delay_fn=lambda: threads_seen.add(threading.get_ident()) or 0.001)
+        before = threading.active_count()
+        records = run_generation_eval([make_item(i) for i in range(3)], stub,
+                                      RunConfig(concurrency_limit=8))
+        assert [r.error for r in records] == [None] * 3
+        assert threading.active_count() == before
+        assert 1 <= len(threads_seen) <= 3
+        assert threading.get_ident() not in threads_seen
+
+    def test_uncaught_task_exception_propagates(self, monkeypatch):
+        import omnieval.runner as runner_mod
+
+        class Stop(BaseException):
+            pass
+
+        def stop(*args, **kwargs):
+            raise Stop("not an Exception")
+
+        monkeypatch.setattr(runner_mod, "score_item", stop)
+        stub = StubBackend()
+        with pytest.raises(Stop):
+            run_generation_eval([make_item(i) for i in range(20)], stub, RunConfig(concurrency_limit=2))
+        assert stub.generate_calls < 20  # the workers took no new items after it
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_interrupt_stops_the_workers(self, tmp_path):
+        class Interrupt(BaseException):
+            pass
+
+        def interrupt(signum, frame):
+            raise Interrupt()
+
+        calls = itertools.count()
+
+        def delay():
+            if next(calls) == 5:
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGUSR1)  # as Ctrl-C would
+            return 0.002
+
+        stub = StubBackend(delay_fn=delay)
+        config = RunConfig(concurrency_limit=2, cache_dir=str(tmp_path))
+        before = len(os.listdir("/proc/self/fd"))
+        previous = signal.signal(signal.SIGUSR1, interrupt)
+        try:
+            with pytest.raises(Interrupt):
+                run_generation_eval([make_item(i) for i in range(200)], stub, config)
+        finally:
+            signal.signal(signal.SIGUSR1, previous)
+        for worker in threading.enumerate():
+            if worker.name == "omnieval-worker":
+                worker.join(timeout=10)
+                assert not worker.is_alive()
+        assert stub.generate_calls < 20
+        # the items the workers held ended after the cache closed, and reopened no shard
+        assert len(os.listdir("/proc/self/fd")) == before
 
     def test_model_extract_fallback(self):
         items = [choice_item(1, ["Paris", "Rome"], "B")]
@@ -378,6 +506,25 @@ class TestResponseCache:
             for i in range(count):
                 assert cache.get(f"aa-{tag}-{i}").text == f"{tag}{i} " * 1500
 
+    def test_line_torn_inside_a_character_is_skipped(self, tmp_path, caplog):
+        cache = ResponseCache(tmp_path)
+        cache.put("aa-whole", "generate", ModelResponse("caf\u00e9", FinishReason.STOP))
+        cache.put("aa-torn", "generate", ModelResponse("caf\u00e9" * 50, FinishReason.STOP))
+        cache.close()
+        shard = tmp_path / "aa.jsonl"
+        data = shard.read_bytes()
+        cut = data.rindex("\u00e9".encode("utf-8")) + 1  # between the two bytes of one character
+        shard.write_bytes(data[:cut])
+
+        cache = ResponseCache(tmp_path)
+        with caplog.at_level("WARNING", logger="omnieval.runner"):
+            assert cache.get("aa-whole").text == "caf\u00e9"
+            assert cache.get("aa-torn") is None
+        assert sum("skipped 1 unreadable line" in m for m in caplog.messages) == 1
+        cache.put("aa-torn", "generate", ModelResponse("again", FinishReason.STOP))
+        cache.close()
+        assert ResponseCache(tmp_path).get("aa-torn").text == "again"
+
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     @pytest.mark.parametrize("mode", ["generate", "ppl"])
     def test_eval_leaves_no_shard_descriptor_open(self, tmp_path, mode):
@@ -450,6 +597,22 @@ class TestRunConfigValidation:
     def test_bad_retries(self):
         with pytest.raises(ConfigError):
             RunConfig(max_retries=-1)
+
+    @pytest.mark.parametrize("field,value", [
+        ("limit", "5"),
+        ("concurrency_limit", 2.0),
+        ("max_retries", "3"),
+        ("num_shots", None),
+        ("backoff_base_ms", "500"),
+        ("concurrency_limit", True),
+    ], ids=["limit", "concurrency_limit", "max_retries", "num_shots", "backoff_base_ms", "bool"])
+    def test_value_that_is_not_an_int(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            RunConfig(**{field: value})
+
+    def test_use_cot_that_is_not_a_bool(self):
+        with pytest.raises(ConfigError, match="use_cot must be true or false"):
+            RunConfig(use_cot="false")
 
     def test_unknown_default_metric(self):
         with pytest.raises(ConfigError):
