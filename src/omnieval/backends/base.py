@@ -9,7 +9,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
 
-from ..errors import ConfigError
+from ..errors import ConfigError, config_enum
 from ..prompts import PromptBundle
 
 
@@ -34,12 +34,18 @@ class GenerationOptions:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ConfigError("temperature must be >= 0")
-        if self.max_new_tokens < 1:
-            raise ConfigError("max_new_tokens must be positive")
-        object.__setattr__(self, "stop_sequences", tuple(self.stop_sequences))
-        object.__setattr__(self, "decoding_mode", DecodingMode(self.decoding_mode))
+        # type(), not isinstance(): a bool is an int, but true is no number
+        if type(self.temperature) not in (int, float) or not 0 <= self.temperature < math.inf:
+            raise ConfigError(f"temperature must be a number >= 0, got {self.temperature!r}")
+        if type(self.max_new_tokens) is not int or self.max_new_tokens < 1:
+            raise ConfigError(f"max_new_tokens must be an integer >= 1, got {self.max_new_tokens!r}")
+        if self.seed is not None and type(self.seed) is not int:
+            raise ConfigError(f"seed must be an integer or null, got {self.seed!r}")
+        stops = self.stop_sequences
+        if not isinstance(stops, (list, tuple)) or not all(isinstance(s, str) for s in stops):
+            raise ConfigError(f"stop_sequences must be a list of strings, got {stops!r}")
+        object.__setattr__(self, "stop_sequences", tuple(stops))
+        object.__setattr__(self, "decoding_mode", config_enum(DecodingMode, self.decoding_mode, "decoding_mode"))
 
     @property
     def effective_mode(self) -> DecodingMode:
@@ -49,23 +55,7 @@ class GenerationOptions:
         return self.decoding_mode
 
     def to_dict(self) -> dict:
-        return {
-            "temperature": self.temperature,
-            "max_new_tokens": self.max_new_tokens,
-            "stop_sequences": list(self.stop_sequences),
-            "decoding_mode": self.decoding_mode.value,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GenerationOptions":
-        return cls(
-            temperature=data.get("temperature", 0.0),
-            max_new_tokens=data.get("max_new_tokens", 512),
-            stop_sequences=tuple(data.get("stop_sequences", ())),
-            decoding_mode=DecodingMode(data.get("decoding_mode", "greedy")),
-            seed=data.get("seed"),
-        )
+        return {**vars(self), "stop_sequences": list(self.stop_sequences), "decoding_mode": self.decoding_mode.value}
 
 
 @dataclass(frozen=True)
@@ -78,14 +68,8 @@ class ModelResponse:
     latency_ms: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "text": self.text,
-            "finish_reason": self.finish_reason.value,
-            "token_logprobs": [list(t) for t in self.token_logprobs] if self.token_logprobs else None,
-            "prompt_tokens": self.prompt_tokens,
-            "completion_tokens": self.completion_tokens,
-            "latency_ms": self.latency_ms,
-        }
+        logprobs = [list(t) for t in self.token_logprobs] if self.token_logprobs else None
+        return {**vars(self), "finish_reason": self.finish_reason.value, "token_logprobs": logprobs}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelResponse":
@@ -119,11 +103,7 @@ class LoglikelihoodResult:
         return self.total_logprob / self.continuation_chars
 
     def to_dict(self) -> dict:
-        return {
-            "total_logprob": self.total_logprob,
-            "token_count": self.token_count,
-            "continuation_chars": self.continuation_chars,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, data: dict) -> "LoglikelihoodResult":
@@ -138,16 +118,13 @@ class BackendCapabilities:
     model_name: str
 
     def __post_init__(self):
+        if not isinstance(self.model_name, str):
+            raise ConfigError(f"model_name must be a string, got {self.model_name!r}")
         if not (self.supports_generation or self.supports_loglikelihood or self.supports_images):
             raise ConfigError("a backend must support at least one capability")
 
     def to_dict(self) -> dict:
-        return {
-            "supports_generation": self.supports_generation,
-            "supports_loglikelihood": self.supports_loglikelihood,
-            "supports_images": self.supports_images,
-            "model_name": self.model_name,
-        }
+        return dict(vars(self))
 
 
 class Backend(ABC):

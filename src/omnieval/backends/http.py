@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import mimetypes
 import os
 import re
@@ -22,6 +23,7 @@ from urllib.parse import SplitResult, urlsplit
 from ..errors import (
     AttachmentError,
     BackendRefused,
+    ConfigError,
     MalformedReply,
     RateLimited,
     TransportError,
@@ -37,8 +39,6 @@ from .base import (
     LoglikelihoodResult,
     ModelResponse,
 )
-
-DEFAULT_API_KEY_ENV = "OMNIEVAL_API_KEY"
 
 _FINISH_REASONS = {"stop": FinishReason.STOP, "length": FinishReason.LENGTH}
 
@@ -347,13 +347,15 @@ class HttpBackend(Backend):
         base_url: str,
         model_name: str,
         *,
-        api_key_env: str = DEFAULT_API_KEY_ENV,
+        api_key_env: str = "OMNIEVAL_API_KEY",
         supports_generation: bool = True,
         supports_loglikelihood: bool = True,
         supports_images: bool = False,
         timeout_s: float = 120.0,
         transport=None,
     ):
+        if type(timeout_s) not in (int, float) or not 0 < timeout_s < math.inf:
+            raise ConfigError(f"timeout_s must be a number > 0, got {timeout_s!r}")
         self.base_url = base_url.rstrip("/")
         self.model_name = model_name
         self.api_key_env = api_key_env

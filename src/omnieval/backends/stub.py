@@ -15,7 +15,7 @@ from __future__ import annotations
 import threading
 import time
 
-from ..errors import UnsupportedCapability
+from ..errors import ConfigError, UnsupportedCapability
 from ..prompts import PromptBundle
 from .base import (
     Backend,
@@ -57,6 +57,9 @@ class StubBackend(Backend):
         delay_s: float | None = None,
         delay_fn=None,
     ):
+        for name, table in (("scripted", scripted), ("logprob_table", logprob_table)):
+            if not isinstance(table or {}, dict):
+                raise ConfigError(f"{name} must be a JSON object, got {table!r}")
         self.scripted = dict(scripted or {})
         self.logprob_table = dict(logprob_table or {})
         self.default_reply = default_reply

@@ -22,7 +22,7 @@ from pathlib import Path
 from .backends import GenerationOptions, HttpBackend, StubBackend
 from .dataset import DatasetManifest, load_dataset
 from .errors import ConfigError, EmptyDataset, EvalKitError, ParseError, SchemaError
-from .filters import ExtractionRule, ExtractionStatus, QuestionType
+from .filters import ExtractionRule, ExtractionStatus
 from .prompts import PromptTemplate
 from .report import EMITTERS, aggregate, report_to_markdown
 from .runner import (
@@ -47,73 +47,66 @@ EXIT_ITEM_ERRORS = 3
 
 def _load_json(path) -> dict:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return _object(raw, f"config {path}")
 
 
-def build_backend(desc: dict, transport=None):
-    kind = desc.get("type", "http")
-    if kind == "stub":
-        # JSON cannot carry tuple keys; config tables use continuation-only keys
-        return StubBackend(
-            scripted=desc.get("scripted"),
-            logprob_table=desc.get("logprob_table"),
-            default_reply=desc.get("default_reply"),
-            char_logprob=desc.get("char_logprob", -0.25),
-            model_name=desc.get("model_name", "stub"),
-            supports_generation=desc.get("supports_generation", True),
-            supports_loglikelihood=desc.get("supports_loglikelihood", True),
-            supports_images=desc.get("supports_images", True),
-        )
-    if kind == "http":
-        if "base_url" not in desc:
-            raise ConfigError("http backend descriptor needs base_url")
-        if "model_name" not in desc:
-            raise ConfigError("http backend descriptor needs model_name")
-        return HttpBackend(
-            desc["base_url"],
-            desc["model_name"],
-            api_key_env=desc.get("api_key_env", "OMNIEVAL_API_KEY"),
-            supports_generation=desc.get("supports_generation", True),
-            supports_loglikelihood=desc.get("supports_loglikelihood", True),
-            supports_images=desc.get("supports_images", False),
-            timeout_s=desc.get("timeout_s", 120.0),
-            transport=transport,
-        )
-    raise ConfigError(f"unknown backend type {kind!r}")
+def _object(raw, where: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {raw!r}")
+    return raw
+
+
+def _build(cls, raw, where: str, **built):
+    """``cls(**raw)`` for the JSON object ``raw``, ``built`` holding values
+    already decoded from it. A key ``cls`` does not take, or a bad value that
+    it does not name itself, is a ConfigError naming ``where``."""
+    try:
+        return cls(**{**_object(raw, where), **built})
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+# backend type -> (class, the constructor keywords a JSON descriptor may set)
+_BACKENDS = {
+    "stub": (StubBackend, {"scripted", "logprob_table", "default_reply", "char_logprob", "model_name",
+                           "supports_generation", "supports_loglikelihood", "supports_images"}),
+    "http": (HttpBackend, {"base_url", "model_name", "api_key_env", "supports_generation",
+                           "supports_loglikelihood", "supports_images", "timeout_s"}),
+}
+
+
+def build_backend(desc: dict, where: str = "backend"):
+    """The backend that the JSON object ``desc`` describes; ``type`` is http when absent."""
+    desc = dict(_object(desc, where))
+    kind = desc.pop("type", "http")
+    if kind not in _BACKENDS:
+        raise ConfigError(f"{where}: unknown backend type {kind!r}")
+    cls, keys = _BACKENDS[kind]
+    unknown = sorted(desc.keys() - keys)
+    if unknown:
+        raise ConfigError(f"{where}: unknown key {unknown[0]!r} for a {kind} backend")
+    return _build(cls, desc, where)
 
 
 def build_run_config(raw: dict) -> RunConfig:
-    try:
-        template = PromptTemplate(**raw.get("template", {}))
-    except TypeError as exc:
-        raise ConfigError(f"bad template object: {exc}") from exc
-    generation = GenerationOptions.from_dict(raw.get("generation", {}))
-    extractor = None
-    if raw.get("extractor"):
-        extractor = build_backend(raw["extractor"])
-    rules = tuple(
-        ExtractionRule(
-            name=r["name"],
-            pattern=r["pattern"],
-            capture_group=r.get("capture_group", 1),
-            applicable_types=frozenset(QuestionType(t) for t in r["applicable_types"]),
+    """The RunConfig of a config file's top-level object, whose ``backend``
+    and ``dataset`` are left to ``cmd_eval``."""
+    raw = {key: value for key, value in raw.items() if key not in ("backend", "dataset")}
+    built = {key: _build(cls, raw[key], key)
+             for key, cls in (("generation", GenerationOptions), ("template", PromptTemplate)) if key in raw}
+    if raw.get("extractor") is not None:
+        built["extractor"] = build_backend(raw["extractor"], "extractor")
+    if "extraction_rules" in raw:
+        rules = raw["extraction_rules"]
+        if not isinstance(rules, list):
+            raise ConfigError(f"extraction_rules must be a list of objects, got {rules!r}")
+        built["extraction_rules"] = tuple(
+            _build(ExtractionRule, rule, f"extraction_rules[{i}]") for i, rule in enumerate(rules)
         )
-        for r in raw.get("extraction_rules", [])
-    )
-    qtype = raw.get("default_question_type")
-    plain = ("mode", "num_shots", "use_cot", "concurrency_limit", "max_retries", "backoff_base_ms",
-             "limit", "cache_dir", "output_dir")
-    return RunConfig(
-        **{name: raw[name] for name in plain if name in raw},  # RunConfig holds the defaults
-        generation=generation,
-        template=template,
-        extractor=extractor,
-        extraction_rules=rules,
-        default_question_type=QuestionType(qtype) if qtype else None,
-        default_metrics=tuple(raw.get("default_metrics", ("accuracy",))),
-    )
+    return _build(RunConfig, raw, "config", **built)
 
 
 def _dataset_defaults(config: RunConfig, name: str = "") -> DatasetManifest:
@@ -126,27 +119,13 @@ def _dataset_defaults(config: RunConfig, name: str = "") -> DatasetManifest:
 
 def cmd_eval(args) -> int:
     raw = _load_json(args.config)
-    overrides = {
-        "mode": args.mode,
-        "num_shots": args.shots,
-        "limit": args.limit,
-        "concurrency_limit": args.concurrency,
-        "output_dir": args.output,
-        "cache_dir": args.cache,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            raw[key] = value
-    if args.cot:
-        raw["use_cot"] = True
-    backend_desc = raw.get("backend")
-    if backend_desc is None:
-        raise ConfigError("config has no backend descriptor")
-    if args.backend:
-        backend_desc["base_url"] = args.backend
-        backend_desc.setdefault("type", "http")
-    if args.model:
-        backend_desc["model_name"] = args.model
+    for key in ("mode", "num_shots", "use_cot", "limit", "concurrency_limit", "output_dir", "cache_dir"):
+        if getattr(args, key) is not None:
+            raw[key] = getattr(args, key)
+    backend_desc = _object(raw.get("backend"), "backend")
+    for key in ("base_url", "model_name"):
+        if getattr(args, key) is not None:
+            backend_desc[key] = getattr(args, key)
 
     config = build_run_config(raw)
     if config.output_dir is None:
@@ -154,8 +133,8 @@ def cmd_eval(args) -> int:
     backend = build_backend(backend_desc)
 
     dataset_path = args.dataset or raw.get("dataset")
-    if dataset_path is None:
-        raise ConfigError("no dataset given (config file or --dataset)")
+    if not isinstance(dataset_path, str):
+        raise ConfigError(f"dataset must be a path (config file or --dataset), got {dataset_path!r}")
     manifest, items = load_dataset(dataset_path, defaults=_dataset_defaults(config))
 
     started = datetime.now(timezone.utc).isoformat()
@@ -249,15 +228,16 @@ def _parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="run an evaluation")
     p_eval.add_argument("--config", required=True)
     p_eval.add_argument("--dataset")
-    p_eval.add_argument("--backend", help="override backend base URL")
-    p_eval.add_argument("--model", help="override backend model name")
+    # each dest is the config key that the flag overrides
+    p_eval.add_argument("--backend", dest="base_url", help="override backend base URL")
+    p_eval.add_argument("--model", dest="model_name", help="override backend model name")
     p_eval.add_argument("--mode", choices=["generate", "ppl"])
-    p_eval.add_argument("--shots", type=int)
-    p_eval.add_argument("--cot", action="store_true")
+    p_eval.add_argument("--shots", type=int, dest="num_shots")
+    p_eval.add_argument("--cot", action="store_const", const=True, dest="use_cot")
     p_eval.add_argument("--limit", type=int)
-    p_eval.add_argument("--concurrency", type=int)
-    p_eval.add_argument("--output")
-    p_eval.add_argument("--cache")
+    p_eval.add_argument("--concurrency", type=int, dest="concurrency_limit")
+    p_eval.add_argument("--output", dest="output_dir")
+    p_eval.add_argument("--cache", dest="cache_dir")
     p_eval.set_defaults(fn=cmd_eval)
 
     p_score = sub.add_parser("score", help="re-filter and re-score stored responses")

@@ -121,6 +121,9 @@ def load_dataset(path, defaults: DatasetManifest | None = None) -> tuple[Dataset
 def _manifest_from_meta(meta: dict, defaults: DatasetManifest | None, fallback_name: str) -> DatasetManifest:
     base = defaults or DatasetManifest(name=fallback_name)
     qtype = meta.get("default_question_type")
+    metrics = meta.get("metrics", base.metrics)
+    if not isinstance(metrics, (list, tuple)) or not all(isinstance(name, str) for name in metrics):
+        raise SchemaError(f"bad field: meta.metrics: must be a list of metric names, got {metrics!r}")
     few_shot = tuple(
         _exemplar(f, "meta", i) for i, f in enumerate(meta.get("few_shot", []))
     ) or base.few_shot
@@ -128,7 +131,7 @@ def _manifest_from_meta(meta: dict, defaults: DatasetManifest | None, fallback_n
         name=meta.get("name", base.name or fallback_name),
         version=str(meta.get("version", base.version)),
         default_question_type=QuestionType(qtype) if qtype else base.default_question_type,
-        metrics=tuple(meta.get("metrics", base.metrics)),
+        metrics=tuple(metrics),
         language=meta.get("language", base.language),
         domain=meta.get("domain", base.domain),
         modality=meta.get("modality", base.modality),
@@ -169,11 +172,7 @@ def validate_item(record, manifest: DatasetManifest, index: int = 0) -> EvalItem
 
     choices = record.get("choices")
     if choices is not None:
-        if not isinstance(choices, list) or not all(isinstance(c, str) for c in choices):
-            fail("bad field: choices: must be a list of strings")
-        if len(choices) > len(LETTERS):
-            fail(f"bad field: choices: {len(choices)} options exceed the 26-letter range")
-        choices = tuple(choices)
+        choices = _choices(choices, where, "choices")
     if qtype in (QuestionType.SINGLE_CHOICE, QuestionType.MULTIPLE_CHOICE) and not choices:
         fail("missing field: choices")
 
@@ -274,7 +273,16 @@ def _exemplar(raw, where, index) -> FewShotExemplar:
     if not isinstance(answer, str) or not answer.strip():
         raise SchemaError(f"{where}: missing field: few_shot[{index}].answer")
     choices = raw.get("choices")
-    return FewShotExemplar(instruction, answer, tuple(choices) if choices else None)
+    if choices is not None:
+        choices = _choices(choices, where, f"few_shot[{index}].choices")
+    return FewShotExemplar(instruction, answer, choices or None)
+
+
+def _choices(raw, where, name) -> tuple[str, ...]:
+    # one letter per option: A to Z
+    if not isinstance(raw, list) or len(raw) > len(LETTERS) or not all(isinstance(c, str) for c in raw):
+        raise SchemaError(f"{where}: bad field: {name}: must be a list of at most {len(LETTERS)} strings")
+    return tuple(raw)
 
 
 # --- serialization back to the unified format --------------------------------

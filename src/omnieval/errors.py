@@ -9,6 +9,14 @@ class ConfigError(EvalKitError):
     """Invalid run configuration, template, or backend descriptor."""
 
 
+def config_enum(enum_cls, value, name: str):
+    """``enum_cls(value)``; any other value is a ConfigError naming the field ``name``."""
+    try:
+        return enum_cls(value)
+    except ValueError:
+        raise ConfigError(f"{name} must be one of {', '.join(m.value for m in enum_cls)}, got {value!r}") from None
+
+
 # --- dataset loading -------------------------------------------------------
 
 class ParseError(EvalKitError):

@@ -16,7 +16,7 @@ import unicodedata
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import BackendError, ConfigError
+from .errors import BackendError, ConfigError, config_enum
 
 logger = logging.getLogger(__name__)
 
@@ -81,7 +81,8 @@ class ExtractionRule:
     """One regex in the extraction bank.
 
     ``pattern`` must compile and contain ``capture_group``; the captured span
-    is parsed according to the question type it is applied to.
+    is parsed according to the question type it is applied to. A list of
+    question type names becomes a frozenset of ``QuestionType``.
     """
 
     name: str
@@ -90,6 +91,13 @@ class ExtractionRule:
     applicable_types: frozenset[QuestionType] = frozenset(QuestionType)
 
     def __post_init__(self):
+        if type(self.capture_group) is not int or self.capture_group < 0:
+            raise ConfigError(f"rule {self.name!r}: capture_group must be an integer >= 0")
+        types = self.applicable_types
+        if not isinstance(types, (list, tuple, set, frozenset)):
+            raise ConfigError(f"rule {self.name!r}: applicable_types must be a list, got {types!r}")
+        types = frozenset(config_enum(QuestionType, t, f"rule {self.name!r}: applicable_types") for t in types)
+        object.__setattr__(self, "applicable_types", types)
         try:
             compiled = re.compile(self.pattern)
         except re.error as exc:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .backends.base import Backend, GenerationOptions, LoglikelihoodResult, ModelResponse
 from .dataset import DatasetManifest, EvalItem
-from .errors import ConfigError, ParseError, RateLimited, TransportError
+from .errors import ConfigError, ParseError, RateLimited, TransportError, config_enum
 from .estimators import METRIC_REGISTRY, QuestionOutcome, score_choice_exact, score_item
 from .filters import (
     LETTERS,
@@ -69,6 +69,16 @@ class RunConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ConfigError(f"{name} must be >= {least}")
+        for name in ("cache_dir", "output_dir"):
+            if not isinstance(getattr(self, name), (str, os.PathLike, type(None))):
+                raise ConfigError(f"{name} must be a path, got {getattr(self, name)!r}")
+        if self.default_question_type is not None:
+            qtype = config_enum(QuestionType, self.default_question_type, "default_question_type")
+            object.__setattr__(self, "default_question_type", qtype)
+        metrics = self.default_metrics
+        if not isinstance(metrics, (list, tuple)) or not all(isinstance(name, str) for name in metrics):
+            raise ConfigError(f"default_metrics must be a list of metric names, got {metrics!r}")
+        object.__setattr__(self, "default_metrics", tuple(metrics))
         for name in self.default_metrics:
             if name not in METRIC_REGISTRY:
                 raise ConfigError(f"unknown metric {name!r} in default_metrics")
@@ -363,6 +373,8 @@ def _run(
     capability = "loglikelihood" if ppl else "generation"
     if not getattr(caps, f"supports_{capability}"):
         raise ConfigError(f"backend {caps.model_name!r} does not support {capability}")
+    if config.extractor is not None and not config.extractor.capabilities().supports_generation:
+        raise ConfigError("extractor backend does not support generation")
     if ppl:
         for item in items:
             if not item.choices:

@@ -1,10 +1,13 @@
 import json
 import os
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from omnieval.cli import main
+from omnieval import ExtractionRule, GenerationOptions, PromptTemplate, RunConfig
+from omnieval.cli import _BACKENDS, main
 from omnieval.estimators import METRIC_REGISTRY
 
 from conftest import FIXTURE_REPLIES
@@ -74,6 +77,42 @@ class TestEval:
         config = make_config(tmp_path, fixture_dataset_path, extra={"limit": "5"})
         assert main(["eval", "--config", str(config)]) == 1
         assert capsys.readouterr().err == "config error: limit must be an integer, got '5'\n"
+        assert not (tmp_path / "runs").exists()
+
+    # (config keys to set, the words the one error line must hold: the field's
+    # name, not the interpreter's wording, which differs between versions)
+    CONFIG_ERRORS = {
+        "max_new_tokens_string": ({"generation": {"max_new_tokens": "64"}}, "max_new_tokens"),
+        "rule_without_name": ({"extraction_rules": [{"pattern": "(x)"}]}, "name"),
+        "backend_not_an_object": ({"backend": "stub"}, "backend"),
+        "bad_decoding_mode": ({"generation": {"decoding_mode": "nope"}}, "decoding_mode"),
+        "bad_default_question_type": ({"default_question_type": "nope"}, "default_question_type"),
+        "bad_applicable_type": (
+            {"extraction_rules": [{"name": "r", "pattern": "(x)", "applicable_types": ["nope"]}]},
+            "applicable_types",
+        ),
+        "scripted_string": ({"backend": {"type": "stub", "scripted": "x"}}, "scripted"),
+        "misspelled_key": ({"concurency_limit": 1}, "concurency_limit"),
+        "misspelled_generation_key": ({"generation": {"max_tokens": 8}}, "max_tokens"),
+        "default_metrics_string": ({"default_metrics": "accuracy"}, "default_metrics must be a list"),
+        "timeout_string": (
+            {"backend": {"type": "http", "base_url": "http://127.0.0.1:1", "model_name": "m", "timeout_s": "5"}},
+            "timeout_s",
+        ),
+        "unknown_backend_key": ({"backend": {"type": "stub", "model": "m"}}, "model"),
+        "extractor_cannot_generate": (
+            {"extractor": {"type": "stub", "supports_generation": False}}, "extractor"
+        ),
+    }
+
+    @pytest.mark.parametrize("extra,named", list(CONFIG_ERRORS.values()), ids=list(CONFIG_ERRORS))
+    def test_config_error_is_one_line(self, tmp_path, fixture_dataset_path, capsys, extra, named):
+        config = make_config(tmp_path, fixture_dataset_path, replies=FIXTURE_REPLIES, extra=extra)
+        assert main(["eval", "--config", str(config)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("config error:")
+        assert re.search(rf"\b{named}\b", lines[0]), lines[0]
         assert not (tmp_path / "runs").exists()
 
     def test_ppl_limit_applies_before_choices_check(self, tmp_path, fixture_dataset_path):
@@ -192,6 +231,55 @@ class TestConfigExtras:
             rules=config.extraction_rules,
         )
         assert got.value == "A"
+
+    def test_every_documented_key_is_accepted(self, tmp_path, fixture_dataset_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Config file\n", 1)[1].split("\n## ", 1)[0]
+        documented = {}
+        for part in section.split("\n### ")[1:]:
+            heading, _, body = part.partition("\n")
+            documented[heading] = sorted(re.findall(r"^\| `(\w+)` \|", body, re.M))
+
+        http = {"type": "http", "base_url": "http://127.0.0.1:1", "model_name": "extractor",
+                "api_key_env": "OMNIEVAL_TEST_KEY", "timeout_s": 5, "supports_generation": True,
+                "supports_loglikelihood": False, "supports_images": False}
+        stub = {"type": "stub", "scripted": FIXTURE_REPLIES, "default_reply": "A",
+                "logprob_table": {" Paris": [-1.0, 1]}, "char_logprob": -0.5, "model_name": "stub",
+                "supports_generation": True, "supports_loglikelihood": True, "supports_images": False}
+        generation = {"temperature": 0.5, "max_new_tokens": 64, "stop_sequences": ["\n\n"],
+                      "decoding_mode": "sample", "seed": 7}
+        template = {"system_text": "Be brief.", "question_prefix": "Q: ", "choice_line_format": "({letter}) {text}",
+                    "answer_prefix": "A:", "exemplar_separator": "\n", "cot_suffix": "Think."}
+        rule = {"name": "verdict", "pattern": r"Verdict: ([A-D])", "capture_group": 1,
+                "applicable_types": ["single_choice"]}
+        config = {
+            "backend": stub, "dataset": str(fixture_dataset_path), "mode": "generate", "num_shots": 0,
+            "use_cot": True, "concurrency_limit": 2, "max_retries": 0, "backoff_base_ms": 10,
+            # one item, whose reply the regex bank extracts: the extractor is never called
+            "limit": 1, "cache_dir": str(tmp_path / "cache"), "output_dir": str(tmp_path / "runs"),
+            "generation": generation, "template": template, "extraction_rules": [rule],
+            "extractor": http, "default_question_type": "single_choice", "default_metrics": ["bleu"],
+        }
+        objects = {
+            "Top level": config,
+            "`generation`": generation,
+            "`template`": template,
+            "`extraction_rules[]`": rule,
+            "`backend` and `extractor` of type `http`": http,
+            "`backend` and `extractor` of type `stub`": stub,
+        }
+        assert documented == {heading: sorted(obj) for heading, obj in objects.items()}
+        # and the decoder takes no key that the README leaves out
+        declared = [{f.name for f in fields(RunConfig)} | {"backend", "dataset"},
+                    {f.name for f in fields(GenerationOptions)}, {f.name for f in fields(PromptTemplate)},
+                    {f.name for f in fields(ExtractionRule)}, _BACKENDS["http"][1] | {"type"},
+                    _BACKENDS["stub"][1] | {"type"}]
+        assert [set(keys) for keys in documented.values()] == declared
+
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["eval", "--config", str(path)]) == 0
+        assert (tmp_path / "runs" / "fixture10" / "stub" / "records.jsonl").exists()
 
     def test_unknown_backend_type(self):
         from omnieval.cli import build_backend

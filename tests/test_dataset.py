@@ -67,6 +67,12 @@ class TestLoadDataset:
         with pytest.raises(SchemaError, match="choices"):
             load_dataset(write(tmp_path, [bad]))
 
+    @pytest.mark.parametrize("choices", ["xyz", [str(i) for i in range(27)]], ids=["string", "27"])
+    def test_exemplar_choices_rejected(self, tmp_path, choices):
+        bad = {**GOOD_RECORD, "few_shot": [{"instruction": "ex", "answer": "A", "choices": choices}]}
+        with pytest.raises(SchemaError, match=r"few_shot\[0\]\.choices"):
+            load_dataset(write(tmp_path, [bad]))
+
     def test_reserved_category_rejected(self, tmp_path):
         bad = {**GOOD_RECORD, "category": "__all__"}
         with pytest.raises(SchemaError, match="category"):
@@ -75,6 +81,11 @@ class TestLoadDataset:
     def test_unknown_metric_rejected(self, tmp_path):
         payload = {"meta": {"name": "x", "metrics": ["made_up"]}, "data": [GOOD_RECORD]}
         with pytest.raises(SchemaError, match="made_up"):
+            load_dataset(write(tmp_path, payload))
+
+    def test_metrics_must_be_a_list(self, tmp_path):
+        payload = {"meta": {"name": "x", "metrics": "accuracy"}, "data": [GOOD_RECORD]}
+        with pytest.raises(SchemaError, match="meta.metrics: must be a list"):
             load_dataset(write(tmp_path, payload))
 
     def test_deterministic(self, tmp_path):
