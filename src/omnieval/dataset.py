@@ -124,13 +124,17 @@ def _manifest_from_meta(meta: dict, defaults: DatasetManifest | None, fallback_n
     metrics = meta.get("metrics", base.metrics)
     if not isinstance(metrics, (list, tuple)) or not all(isinstance(name, str) for name in metrics):
         raise SchemaError(f"bad field: meta.metrics: must be a list of metric names, got {metrics!r}")
+    try:
+        default_qtype = QuestionType(qtype) if qtype else base.default_question_type
+    except ValueError:
+        raise SchemaError(f"bad field: meta.default_question_type: {qtype!r}") from None
     few_shot = tuple(
         _exemplar(f, "meta", i) for i, f in enumerate(meta.get("few_shot", []))
     ) or base.few_shot
     return DatasetManifest(
         name=meta.get("name", base.name or fallback_name),
         version=str(meta.get("version", base.version)),
-        default_question_type=QuestionType(qtype) if qtype else base.default_question_type,
+        default_question_type=default_qtype,
         metrics=tuple(metrics),
         language=meta.get("language", base.language),
         domain=meta.get("domain", base.domain),

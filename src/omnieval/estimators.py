@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import EmptyReferences
@@ -22,8 +23,15 @@ def tokenize(text: str) -> list[str]:
     return text.lower().split()
 
 
-def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _ngrams(tokens: Sequence[str], n: int) -> Iterable[tuple[str, ...]]:
+    """The n-grams of ``tokens`` in order, each a tuple of n tokens."""
+    return zip(*[tokens[i:] for i in range(n)])
+
+
+def _bleu_ngram_counts(tokens: Sequence[str]) -> Counter:
+    """The counts of every n-gram of orders 1 to MAX_BLEU_ORDER, in one Counter;
+    an n-gram's order is its length."""
+    return Counter(chain.from_iterable(_ngrams(tokens, n) for n in range(1, MAX_BLEU_ORDER + 1)))
 
 
 # --- exact-match scorers -----------------------------------------------------
@@ -52,15 +60,6 @@ def score_fill_blank(extracted: str, truth: str | Sequence[str]) -> float:
 
 
 # --- BLEU --------------------------------------------------------------------
-
-def _clipped_matches(cand_counts: Counter, refs_tokens: list[list[str]], n: int) -> int:
-    max_ref = Counter()
-    for ref in refs_tokens:
-        for gram, count in _ngram_counts(ref, n).items():
-            if count > max_ref[gram]:
-                max_ref[gram] = count
-    return sum(min(count, max_ref[gram]) for gram, count in cand_counts.items())
-
 
 def _closest_ref_len(refs_tokens: list[list[str]], c: int) -> int:
     # ties between equally close references go to the shorter one
@@ -103,12 +102,20 @@ def corpus_bleu(candidates: Sequence[str], references: Sequence[Sequence[str]]) 
         if not cand:
             continue
         cand_len += len(cand)
-        for n in range(1, MAX_BLEU_ORDER + 1):
-            count = max(len(cand) - n + 1, 0)
-            if count == 0:
-                continue
-            total[n - 1] += count
-            matched[n - 1] += _clipped_matches(_ngram_counts(cand, n), refs_tokens, n)
+        orders = range(min(len(cand), MAX_BLEU_ORDER))
+        for i in orders:
+            total[i] += len(cand) - i
+        if cand in refs_tokens:
+            # a reference equal to the candidate matches every n-gram in full
+            for i in orders:
+                matched[i] += len(cand) - i
+            continue
+        # multi-reference clipping: each n-gram's count in its most generous reference
+        max_ref = _bleu_ngram_counts(refs_tokens[0])
+        for ref in refs_tokens[1:]:
+            max_ref |= _bleu_ngram_counts(ref)
+        for gram, count in _bleu_ngram_counts(cand).items():
+            matched[len(gram) - 1] += min(count, max_ref.get(gram, 0))
 
     if cand_len == 0:
         return 0.0
@@ -142,8 +149,8 @@ def rouge_n(candidate: str, reference: str, n: int) -> tuple[float, float, float
     """ROUGE-N (n in {1, 2}): clipped n-gram overlap as (precision, recall, f1)."""
     if n not in (1, 2):
         raise ValueError("rouge_n supports n in {1, 2}")
-    cand_counts = _ngram_counts(tokenize(candidate), n)
-    ref_counts = _ngram_counts(tokenize(reference), n)
+    cand_counts = Counter(_ngrams(tokenize(candidate), n))
+    ref_counts = Counter(_ngrams(tokenize(reference), n))
     cand_total = sum(cand_counts.values())
     ref_total = sum(ref_counts.values())
     if cand_total == 0 or ref_total == 0:
@@ -155,19 +162,23 @@ def rouge_n(candidate: str, reference: str, n: int) -> tuple[float, float, float
 
 
 def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    """Longest common subsequence length, two-row DP."""
+    """Longest common subsequence length, bit-parallel (Allison and Dix 1986;
+    Hyyro 2004). After the tokens of ``a`` seen so far, bit j of ``v`` is
+    clear iff their LCS with b[: j + 1] is one longer than with b[:j], so the
+    clear bits count the LCS. One step per token of ``a`` updates every j at
+    once, on Python ints of any length."""
     if not a or not b:
         return 0
-    prev = [0] * (len(b) + 1)
+    masks: dict[str, int] = {}
+    for j, y in enumerate(b):
+        masks[y] = masks.get(y, 0) | 1 << j
+    full = (1 << len(b)) - 1
+    v = full
     for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                cur.append(prev[j - 1] + 1)
-            else:
-                cur.append(max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[len(b)]
+        u = v & masks.get(x, 0)
+        if u:
+            v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(candidate: str, reference: str) -> tuple[float, float, float]:

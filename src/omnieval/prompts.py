@@ -5,7 +5,7 @@ chain-of-thought directive, rendered into a backend-ready conversation.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .dataset import EvalItem, FewShotExemplar
 from .errors import ChoiceOverflow, ConfigError, EmptyChoices
@@ -24,6 +24,11 @@ class PromptTemplate:
     cot_suffix: str = "Let's think step by step."
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, str) and not (value is None and f.name == "system_text"):
+                kind = "a string or null" if f.name == "system_text" else "a string"
+                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
         if "{letter}" not in self.choice_line_format or "{text}" not in self.choice_line_format:
             raise ConfigError("choice_line_format must contain {letter} and {text}")
 

@@ -60,6 +60,51 @@ def brute_bleu(candidate, references, max_order=4):
     return bp * geo_mean
 
 
+def brute_corpus_bleu(candidates, references, max_order=4):
+    """Corpus BLEU by naive n-gram enumeration, pooled over all pairs.
+
+    Clipped matches and n-gram totals of each order, the candidate lengths c
+    and the closest reference lengths r (ties to the shorter reference) are
+    summed over the pairs first; an empty candidate adds only its r. The
+    precisions, smoothing and brevity penalty are then those of
+    ``brute_bleu``, in the same float operations. No candidate tokens at all
+    scores 0.
+    """
+    matched = [0] * max_order
+    total = [0] * max_order
+    c = 0
+    r = 0
+    for candidate, raw_refs in zip(candidates, references):
+        cand = _tokens(candidate)
+        refs = [_tokens(ref) for ref in raw_refs]
+        r += min((abs(len(ref) - len(cand)), len(ref)) for ref in refs)[1]
+        c += len(cand)
+        for n in range(1, max_order + 1):
+            cand_ngrams = _ngram_list(cand, n)
+            total[n - 1] += len(cand_ngrams)
+            for gram in set(cand_ngrams):
+                best_ref_count = max(_ngram_list(ref, n).count(gram) for ref in refs)
+                matched[n - 1] += min(cand_ngrams.count(gram), best_ref_count)
+    if c == 0:
+        return 0.0
+
+    log_precisions = []
+    for n in range(1, max_order + 1):
+        if total[n - 1] == 0:
+            continue
+        if n == 1:
+            if matched[0] == 0:
+                return 0.0
+            p = matched[0] / total[0]
+        else:
+            p = (matched[n - 1] + 1) / (total[n - 1] + 1)
+        log_precisions.append(math.log(p))
+
+    geo_mean = math.exp(sum(log_precisions) / len(log_precisions))
+    bp = math.exp(1.0 - r / c) if c < r else 1.0
+    return bp * geo_mean
+
+
 def brute_lcs(a, b):
     """LCS length by the full quadratic dynamic-programming table."""
     table = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]

@@ -115,6 +115,25 @@ class TestEval:
         assert re.search(rf"\b{named}\b", lines[0]), lines[0]
         assert not (tmp_path / "runs").exists()
 
+    def test_template_field_of_wrong_type(self, tmp_path, fixture_dataset_path, capsys):
+        config = make_config(tmp_path, fixture_dataset_path, replies=FIXTURE_REPLIES,
+                             extra={"template": {"answer_prefix": 5}})
+        assert main(["eval", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == "config error: answer_prefix must be a string, got 5\n"
+        assert not (tmp_path / "runs").exists() and not (tmp_path / "cache").exists()
+
+    def test_bad_default_question_type_in_meta(self, tmp_path, fixture_dataset_path, capsys):
+        dataset = json.loads(fixture_dataset_path.read_text(encoding="utf-8"))
+        dataset["meta"]["default_question_type"] = "nope"
+        dataset_path = tmp_path / "fixture.json"
+        dataset_path.write_text(json.dumps(dataset), encoding="utf-8")
+        config = make_config(tmp_path, dataset_path, replies=FIXTURE_REPLIES)
+        assert main(["eval", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == "dataset error: bad field: meta.default_question_type: 'nope'\n"
+        assert not (tmp_path / "runs").exists()
+        assert main(["validate", "--dataset", str(dataset_path)]) == 1
+        assert capsys.readouterr().out == "INVALID: bad field: meta.default_question_type: 'nope'\n"
+
     def test_ppl_limit_applies_before_choices_check(self, tmp_path, fixture_dataset_path):
         # q01-q05 have choices, q06 onwards do not
         config = make_config(tmp_path, fixture_dataset_path, mode="ppl")
@@ -438,3 +457,30 @@ class TestReportCommand:
 
     def test_usage_error(self):
         assert main(["report"]) == 1
+
+
+class TestTextMetricGoldens:
+    """``configs/stub_text_demo.json`` scores fill-blank and free-open replies
+    (wrong, partial, multi-reference, repeated tokens, one empty) with
+    accuracy, BLEU and ROUGE. Its records and full-precision report were made
+    before the BLEU and LCS kernels were rewritten and must stay byte-identical."""
+
+    def test_eval_score_and_report_match_goldens(self, tmp_path, data_dir, golden_dir, capsys):
+        repo = Path(__file__).parent.parent
+        config = repo / "configs" / "stub_text_demo.json"
+        dataset = data_dir / "text_fixture_dataset.json"
+        runs = tmp_path / "runs"
+        assert main(["eval", "--config", str(config), "--dataset", str(dataset),
+                     "--output", str(runs), "--cache", str(tmp_path / "cache")]) == 0
+        records = runs / "text14" / "stub" / "records.jsonl"
+        golden_records = (golden_dir / "text_fixture_records.jsonl").read_bytes()
+        assert records.read_bytes() == golden_records
+
+        rescored = tmp_path / "rescored.jsonl"
+        assert main(["score", "--config", str(config), "--records", str(records),
+                     "--dataset", str(dataset), "--out", str(rescored)]) == 0
+        assert rescored.read_bytes() == golden_records
+
+        report = tmp_path / "report.jsonl"
+        assert main(["report", "--runs", str(runs), "--format", "jsonl", "--out", str(report)]) == 0
+        assert report.read_bytes() == (golden_dir / "text_fixture_report.jsonl").read_bytes()

@@ -20,7 +20,7 @@ from omnieval.dataset import EvalItem
 from omnieval.errors import EmptyReferences
 from omnieval.estimators import lcs_length, score_item
 from omnieval.filters import QuestionType
-from oracles import brute_bleu, brute_lcs, brute_rouge_l, brute_rouge_n
+from oracles import brute_bleu, brute_corpus_bleu, brute_lcs, brute_rouge_l, brute_rouge_n
 
 # Frozen from the hand-evaluated formula (= (1/24) ** 0.25), confirmed by the
 # brute-force oracle before the implementation was written.
@@ -140,6 +140,57 @@ class TestCorpusBleu:
         with pytest.raises(ValueError):
             corpus_bleu(["a"], [])
 
+    @staticmethod
+    def _random_pair(rng):
+        # three symbols, so tokens repeat; lengths 0-11 cover empty candidates
+        # and candidates with fewer than four tokens
+        vocab = ["a", "b", "c"]
+        cand = [rng.choice(vocab) for _ in range(rng.randint(0, 11))]
+        refs = [[rng.choice(vocab) for _ in range(rng.randint(1, 11))] for _ in range(rng.randint(1, 3))]
+        draw = rng.random()
+        if draw < 0.2 and cand:
+            refs[rng.randrange(len(refs))] = list(cand)  # one reference equals the candidate
+        elif draw < 0.3 and cand:
+            refs = [list(cand)]  # the single reference equals the candidate
+        cand_text = " ".join(cand)
+        if rng.random() < 0.2:
+            cand_text = "  " + cand_text.upper() + "\t"  # equal only after tokenization
+        return cand_text, [" ".join(ref) for ref in refs]
+
+    def test_matches_pooled_oracle_random(self):
+        rng = random.Random(2024)
+        for _ in range(400):
+            pairs = [self._random_pair(rng) for _ in range(rng.randint(1, 6))]
+            cands = [cand for cand, _ in pairs]
+            refs = [ref for _, ref in pairs]
+            assert corpus_bleu(cands, refs) == brute_corpus_bleu(cands, refs), pairs
+
+    def test_sentence_bleu_matches_both_oracles_random(self):
+        rng = random.Random(77)
+        for _ in range(400):
+            cand, refs = self._random_pair(rng)
+            value = bleu(cand, refs)
+            assert value == brute_corpus_bleu([cand], [refs]), (cand, refs)
+            assert value == brute_bleu(cand, refs), (cand, refs)
+
+    @pytest.mark.parametrize(
+        "cand,refs",
+        [
+            ("the cat sat on the mat", ["the cat sat on the mat"]),
+            ("the cat", ["the cat"]),
+            ("a a a a a", ["b b", "a a a a a", "a"]),
+            ("The  CAT sat", ["the cat sat", "a dog"]),
+        ],
+    )
+    def test_identical_reference_scores_one(self, cand, refs):
+        assert bleu(cand, refs) == 1.0 == brute_corpus_bleu([cand], [refs])
+
+    def test_multi_reference_clipping_takes_each_ngram_from_its_best_reference(self):
+        # "a" is clipped to 2 (its count in "a a"), not to the 3 of both references together
+        cands = ["a a a b b", "b a"]
+        refs = [["a a c", "a b b c"], ["a b"]]
+        assert corpus_bleu(cands, refs) == brute_corpus_bleu(cands, refs)
+
 
 class TestRouge:
     def test_rouge1_golden(self):
@@ -173,6 +224,17 @@ class TestRouge:
             assert rouge_l(cand, ref) == pytest.approx(brute_rouge_l(cand, ref), abs=1e-9)
             for n in (1, 2):
                 assert rouge_n(cand, ref, n) == pytest.approx(brute_rouge_n(cand, ref, n), abs=1e-9)
+
+    def test_lcs_crosses_word_boundaries(self):
+        # up to about 200 tokens over three symbols: the bit masks run past 64 bits
+        rng = random.Random(5)
+        lengths = [(63, 64), (64, 65), (128, 129), (200, 3), (3, 200), (200, 200)]
+        lengths += [(rng.randint(0, 200), rng.randint(0, 200)) for _ in range(40)]
+        for len_a, len_b in lengths:
+            a = [rng.choice("xyz") for _ in range(len_a)]
+            b = [rng.choice("xyz") for _ in range(len_b)]
+            assert lcs_length(a, b) == brute_lcs(a, b), (a, b)
+            assert lcs_length(a, a) == len_a
 
     @given(token_lists, token_lists)
     def test_lcs_matches_full_dp_oracle(self, a, b):

@@ -58,6 +58,18 @@ class TestChoiceBlock:
         with pytest.raises(ConfigError):
             PromptTemplate(choice_line_format="{letter} only")
 
+    @pytest.mark.parametrize(
+        "field,value,kind",
+        [("answer_prefix", 5, "a string"), ("question_prefix", None, "a string"),
+         ("choice_line_format", ["{letter}", "{text}"], "a string"), ("system_text", 1, "a string or null")],
+    )
+    def test_template_fields_must_be_strings(self, field, value, kind):
+        with pytest.raises(ConfigError, match=rf"^{field} must be {kind}, got "):
+            PromptTemplate(**{field: value})
+
+    def test_system_text_may_be_null(self):
+        assert PromptTemplate(system_text=None).system_text is None
+
 
 class TestRenderPrompt:
     def test_zero_shot_no_choices(self):
