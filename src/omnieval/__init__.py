@@ -31,7 +31,6 @@ from .filters import (
     ExtractionStatus,
     QuestionType,
     extract_answer,
-    model_extract,
     normalize_text,
 )
 from .prompts import PromptBundle, PromptTemplate, Turn, flatten_bundle, render_choice_block, render_prompt
@@ -41,6 +40,7 @@ from .runner import (
     RunConfig,
     RunRecord,
     cache_key,
+    model_extract,
     run_generation_eval,
     run_ppl_eval,
     with_retries,

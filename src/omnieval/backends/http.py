@@ -221,9 +221,7 @@ class _Connection:
     connection closing."""
 
     def __init__(self, parts: SplitResult, timeout_s: float):
-        if parts.scheme not in ("http", "https"):
-            raise TransportError(f"unsupported URL scheme {parts.scheme!r}")
-        host = parts.hostname or ""
+        host = parts.hostname
         self.host_header = parts.netloc.rpartition("@")[2]
         port = parts.port or (443 if parts.scheme == "https" else 80)
         sock = socket.create_connection((host, port), timeout_s)
@@ -356,6 +354,11 @@ class HttpBackend(Backend):
     ):
         if type(timeout_s) not in (int, float) or not 0 < timeout_s < math.inf:
             raise ConfigError(f"timeout_s must be a number > 0, got {timeout_s!r}")
+        parts = urlsplit(base_url) if isinstance(base_url, str) else None
+        if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ConfigError(f"base_url must be an http:// or https:// URL with a host, got {base_url!r}")
+        if not isinstance(api_key_env, str):
+            raise ConfigError(f"api_key_env must be the name of an environment variable, got {api_key_env!r}")
         self.base_url = base_url.rstrip("/")
         self.model_name = model_name
         self.api_key_env = api_key_env

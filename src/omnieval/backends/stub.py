@@ -12,6 +12,7 @@ scripted to fail, which is what the retry and concurrency tests hook into.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 
@@ -61,8 +62,21 @@ class StubBackend(Backend):
             if not isinstance(table or {}, dict):
                 raise ConfigError(f"{name} must be a JSON object, got {table!r}")
         self.scripted = dict(scripted or {})
-        self.logprob_table = dict(logprob_table or {})
+        for item_id, reply in self.scripted.items():
+            if not isinstance(reply, str):
+                raise ConfigError(f"scripted[{item_id!r}] must be a string, got {reply!r}")
+        self.logprob_table = {}
+        for key, entry in (logprob_table or {}).items():
+            try:
+                self.logprob_table[key] = _as_ll_result(entry, key[1] if isinstance(key, tuple) else key)
+            except (KeyError, TypeError, ValueError, ConfigError):
+                raise ConfigError(f"logprob_table[{key!r}] is not a loglikelihood entry: {entry!r}") from None
+        if default_reply is not None and not isinstance(default_reply, str):
+            raise ConfigError(f"default_reply must be a string or null, got {default_reply!r}")
         self.default_reply = default_reply
+        # type(), not isinstance(): a bool is an int, but true is no number
+        if type(char_logprob) not in (int, float) or not math.isfinite(char_logprob):
+            raise ConfigError(f"char_logprob must be a finite number, got {char_logprob!r}")
         self.char_logprob = char_logprob
         self._caps = BackendCapabilities(
             supports_generation, supports_loglikelihood, supports_images, model_name
@@ -133,7 +147,7 @@ class StubBackend(Backend):
             if entry is None:
                 entry = self.logprob_table.get(continuation)
             if entry is not None:
-                return _as_ll_result(entry, continuation)
+                return entry
             return LoglikelihoodResult(
                 total_logprob=self.char_logprob * len(continuation),
                 token_count=max(1, len(continuation.split())),

@@ -202,17 +202,19 @@ def cmd_report(args) -> int:
     chunks = []
     for record_file in record_files:
         meta_path = record_file.with_name("run_meta.json")
-        dataset = model = "unknown"
+        meta = {}
         if meta_path.exists():
             try:
                 meta = json.loads(meta_path.read_text(encoding="utf-8"))
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{meta_path}: not JSON: {exc}") from exc
-            dataset = meta.get("dataset", dataset)
-            model = meta.get("model", model)
+            if not isinstance(meta, dict):
+                raise ParseError(f"{meta_path}: not a JSON object")
+        # a run_meta.json written before runs stored their metrics reports the default ones
+        metrics = {"metrics": meta["metrics"]} if "metrics" in meta else {}
+        manifest = DatasetManifest(name=meta.get("dataset", "unknown"), **metrics)
         records = read_records(record_file)
-        manifest = DatasetManifest(name=dataset)
-        chunks.append(emitter(aggregate(records, manifest, model_name=model)))
+        chunks.append(emitter(aggregate(records, manifest, model_name=meta.get("model", "unknown"))))
     text = "\n".join(chunks) if args.format == "md" else "".join(chunks)
     if args.out:
         write_text_atomic(args.out, text)

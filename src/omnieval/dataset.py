@@ -67,6 +67,10 @@ class DatasetManifest:
     few_shot: tuple[FewShotExemplar, ...] = ()
 
     def __post_init__(self):
+        metrics = self.metrics
+        if not isinstance(metrics, (list, tuple)) or not all(isinstance(name, str) for name in metrics):
+            raise SchemaError(f"bad field: meta.metrics: must be a list of metric names, got {metrics!r}")
+        object.__setattr__(self, "metrics", tuple(metrics))
         for name in self.metrics:
             if name not in METRIC_REGISTRY:
                 raise SchemaError(
@@ -121,9 +125,6 @@ def load_dataset(path, defaults: DatasetManifest | None = None) -> tuple[Dataset
 def _manifest_from_meta(meta: dict, defaults: DatasetManifest | None, fallback_name: str) -> DatasetManifest:
     base = defaults or DatasetManifest(name=fallback_name)
     qtype = meta.get("default_question_type")
-    metrics = meta.get("metrics", base.metrics)
-    if not isinstance(metrics, (list, tuple)) or not all(isinstance(name, str) for name in metrics):
-        raise SchemaError(f"bad field: meta.metrics: must be a list of metric names, got {metrics!r}")
     try:
         default_qtype = QuestionType(qtype) if qtype else base.default_question_type
     except ValueError:
@@ -135,7 +136,7 @@ def _manifest_from_meta(meta: dict, defaults: DatasetManifest | None, fallback_n
         name=meta.get("name", base.name or fallback_name),
         version=str(meta.get("version", base.version)),
         default_question_type=default_qtype,
-        metrics=tuple(metrics),
+        metrics=meta.get("metrics", base.metrics),
         language=meta.get("language", base.language),
         domain=meta.get("domain", base.domain),
         modality=meta.get("modality", base.modality),

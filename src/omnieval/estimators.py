@@ -220,13 +220,15 @@ class MetricSpec:
     fn: Callable  # (extracted, item) -> dict[str, float]
 
 
-def _truth_refs(item) -> list[str]:
-    answer = item.answer
-    return list(answer) if isinstance(answer, tuple) else [answer]
+def reference_texts(truth: str | tuple[str, ...]) -> list[str]:
+    """The reference texts of a ground truth: each accepted answer."""
+    return list(truth) if isinstance(truth, tuple) else [truth]
 
 
-def _candidate(extracted: ExtractedAnswer) -> str:
-    if extracted.status is ExtractionStatus.UNEXTRACTED:
+def candidate_text(extracted: ExtractedAnswer | None) -> str:
+    """The text that text metrics score for an extracted answer: empty when
+    nothing was extracted, letters joined by spaces."""
+    if extracted is None or extracted.status is ExtractionStatus.UNEXTRACTED:
         return ""
     return extracted.value if isinstance(extracted.value, str) else " ".join(extracted.value)
 
@@ -239,7 +241,7 @@ def _accuracy(extracted, item):
         got = extracted.value if extracted.status is not ExtractionStatus.UNEXTRACTED else ()
         exact, jaccard = score_multi_choice(got, item.answer)
         return {"accuracy": exact, "multi_choice_jaccard": jaccard}
-    return {"accuracy": score_fill_blank(_candidate(extracted), item.answer)}
+    return {"accuracy": score_fill_blank(candidate_text(extracted), item.answer)}
 
 
 def _multi_choice_exact(extracted, item):
@@ -249,17 +251,17 @@ def _multi_choice_exact(extracted, item):
 
 
 def _fill_blank_exact(extracted, item):
-    return {"fill_blank_exact": score_fill_blank(_candidate(extracted), item.answer)}
+    return {"fill_blank_exact": score_fill_blank(candidate_text(extracted), item.answer)}
 
 
 def _bleu_metric(extracted, item):
-    return {"bleu": bleu(_candidate(extracted), _truth_refs(item))}
+    return {"bleu": bleu(candidate_text(extracted), reference_texts(item.answer))}
 
 
 def _rouge_metric(name, scorer):
     def fn(extracted, item):
-        candidate = _candidate(extracted)
-        best = max(scorer(candidate, ref)[2] for ref in _truth_refs(item))
+        candidate = candidate_text(extracted)
+        best = max(scorer(candidate, ref)[2] for ref in reference_texts(item.answer))
         return {name: best}
 
     return fn

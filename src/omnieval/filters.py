@@ -10,15 +10,12 @@ raises: failure is an ``ExtractedAnswer`` with status ``unextracted``.
 
 from __future__ import annotations
 
-import logging
 import re
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import BackendError, ConfigError, config_enum
-
-logger = logging.getLogger(__name__)
+from .errors import ConfigError, config_enum
 
 
 class QuestionType(str, Enum):
@@ -348,37 +345,13 @@ def _polarity_scan(raw: str):
     return ExtractedAnswer(value, ExtractionStatus.EXTRACTED, "polarity_scan", value)
 
 
-def model_extract(
-    raw: str,
-    qtype: QuestionType,
-    choices: list[str] | tuple[str, ...] | None,
-    extractor,
-    rules: tuple[ExtractionRule, ...] = (),
-) -> ExtractedAnswer:
-    """Ask a second model to isolate the answer, then re-run the regex bank
-    on its reply. Backend failures degrade to ``unextracted``; they never
-    propagate.
-    """
-    from .backends.base import GenerationOptions
-    from .prompts import PromptBundle, Turn
-
-    if not extractor.capabilities().supports_generation:
-        raise ConfigError("extractor backend does not support generation")
-
+def extraction_prompt(raw: str, qtype: QuestionType, choices: list[str] | tuple[str, ...] | None) -> str:
+    """The one-turn request that asks an extractor model to isolate the
+    answer in ``raw``: ``MODEL_EXTRACTION_PROMPT`` filled in."""
     options_block = ""
     if choices:
         lines = "\n".join(f"{LETTERS[i]}. {text}" for i, text in enumerate(choices))
         options_block = f"Options:\n{lines}\n"
-    prompt = MODEL_EXTRACTION_PROMPT.format(
+    return MODEL_EXTRACTION_PROMPT.format(
         question_type=QuestionType(qtype).value, options_block=options_block, response=raw
     )
-    bundle = PromptBundle(system_text=None, turns=(Turn("user", prompt),))
-    try:
-        reply = extractor.generate(bundle, GenerationOptions(temperature=0.0, max_new_tokens=64))
-    except BackendError as exc:
-        logger.warning("model extraction failed: %s", exc)
-        return UNEXTRACTED
-    second = extract_answer(reply.text, qtype, choices, rules)
-    if second.status is ExtractionStatus.UNEXTRACTED:
-        return UNEXTRACTED
-    return ExtractedAnswer(second.value, ExtractionStatus.MODEL_EXTRACTED, second.rule_name, second.raw_span)

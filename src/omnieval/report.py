@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .dataset import DatasetManifest
 from .errors import EmptyRun
-from .estimators import MetricValue, corpus_bleu
+from .estimators import MetricValue, candidate_text, corpus_bleu, reference_texts
 from .filters import ExtractionStatus
 from .runner import RunRecord, write_text_atomic
 
@@ -88,14 +88,9 @@ def _metric_values(records: list[RunRecord], names: list[str]) -> tuple[MetricVa
 
 def _pooled_bleu(records: list[RunRecord]) -> MetricValue | None:
     # micro-average over scored items: pooled n-gram counts, not mean of sentences
-    candidates, references = [], []
-    for r in records:
-        if not any(o.metric_name == "bleu" for o in r.outcomes):
-            continue
-        value = r.extracted.value if r.extracted and r.extracted.value is not None else ""
-        candidates.append(value if isinstance(value, str) else " ".join(value))
-        truth = r.ground_truth
-        references.append(list(truth) if isinstance(truth, tuple) else [truth])
+    scored = [r for r in records if any(o.metric_name == "bleu" for o in r.outcomes)]
+    candidates = [candidate_text(r.extracted) for r in scored]
+    references = [reference_texts(r.ground_truth) for r in scored]
     if not candidates:
         return None
     return MetricValue("bleu_corpus", corpus_bleu(candidates, references), len(candidates))

@@ -20,18 +20,19 @@ from pathlib import Path
 
 from .backends.base import Backend, GenerationOptions, LoglikelihoodResult, ModelResponse
 from .dataset import DatasetManifest, EvalItem
-from .errors import ConfigError, ParseError, RateLimited, TransportError, config_enum
+from .errors import BackendError, ConfigError, ParseError, RateLimited, TransportError, config_enum
 from .estimators import METRIC_REGISTRY, QuestionOutcome, score_choice_exact, score_item
 from .filters import (
     LETTERS,
+    UNEXTRACTED,
     ExtractedAnswer,
     ExtractionRule,
     ExtractionStatus,
     QuestionType,
     extract_answer,
-    model_extract,
+    extraction_prompt,
 )
-from .prompts import PromptBundle, PromptTemplate, flatten_bundle, render_prompt
+from .prompts import PromptBundle, PromptTemplate, Turn, flatten_bundle, render_prompt
 
 logger = logging.getLogger(__name__)
 
@@ -294,18 +295,21 @@ def with_retries(thunk, *, max_retries: int = 3, backoff_base_ms: int = 500, sle
 
 # --- evaluation --------------------------------------------------------------
 
-class _Extractor:
-    """An extractor backend whose generate calls go through the run's
-    ``call``, so they are cached and retried like the model's."""
-
-    def __init__(self, backend: Backend, call):
-        self.capabilities = backend.capabilities
-        self._backend = backend
-        self._call = call
-
-    def generate(self, bundle: PromptBundle, options: GenerationOptions) -> ModelResponse:
-        key = generate_key(self.capabilities().model_name, bundle, options)
-        return self._call(key, "generate", self._backend.generate, bundle, options)
+def model_extract(raw: str, qtype: QuestionType, choices: list[str] | tuple[str, ...] | None, generate,
+                  rules: tuple[ExtractionRule, ...] = ()) -> ExtractedAnswer:
+    """Ask an extractor model to isolate the answer, then run the regex bank
+    again on its reply. ``generate(bundle, options)`` makes the model call; a
+    ``BackendError`` from it degrades to ``unextracted`` and never propagates."""
+    bundle = PromptBundle(system_text=None, turns=(Turn("user", extraction_prompt(raw, qtype, choices)),))
+    try:
+        reply = generate(bundle, GenerationOptions(temperature=0.0, max_new_tokens=64))
+    except BackendError as exc:
+        logger.warning("model extraction failed: %s", exc)
+        return UNEXTRACTED
+    second = extract_answer(reply.text, qtype, choices, rules)
+    if second.status is ExtractionStatus.UNEXTRACTED:
+        return UNEXTRACTED
+    return ExtractedAnswer(second.value, ExtractionStatus.MODEL_EXTRACTED, second.rule_name, second.raw_span)
 
 
 def score_response(
@@ -373,7 +377,8 @@ def _run(
     capability = "loglikelihood" if ppl else "generation"
     if not getattr(caps, f"supports_{capability}"):
         raise ConfigError(f"backend {caps.model_name!r} does not support {capability}")
-    if config.extractor is not None and not config.extractor.capabilities().supports_generation:
+    extractor = config.extractor
+    if extractor is not None and not extractor.capabilities().supports_generation:
         raise ConfigError("extractor backend does not support generation")
     if ppl:
         for item in items:
@@ -393,7 +398,9 @@ def _run(
                 cache.put(key, kind, response)
         return response
 
-    extractor = _Extractor(config.extractor, call) if config.extractor else None
+    # the extractor's generate call, cached and retried like the model's
+    extract = lambda bundle, options: call(generate_key(extractor.capabilities().model_name, bundle, options),
+                                           "generate", extractor.generate, bundle, options)
 
     def task(item: EvalItem) -> RunRecord:
         digest = ""
@@ -414,7 +421,7 @@ def _run(
             fallback = None
             if extractor is not None:
                 fallback = lambda: model_extract(
-                    text, item.question_type, item.choices, extractor, config.extraction_rules
+                    text, item.question_type, item.choices, extract, config.extraction_rules
                 )
             return score_response(item, digest, text, config, metrics, fallback)
         except Exception as exc:
@@ -564,6 +571,7 @@ def write_run_output(
         },
         "item_count": len(records),
         "error_count": sum(1 for r in records if r.error is not None),
+        "metrics": list(manifest.metrics),
     }
     write_text_atomic(run_dir / "run_meta.json", json.dumps(meta, indent=2, sort_keys=True))
     return run_dir

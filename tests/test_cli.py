@@ -103,6 +103,17 @@ class TestEval:
         "extractor_cannot_generate": (
             {"extractor": {"type": "stub", "supports_generation": False}}, "extractor"
         ),
+        "base_url_without_scheme": (
+            {"backend": {"type": "http", "base_url": "localhost:8000", "model_name": "m"}}, "base_url"
+        ),
+        "api_key_env_number": (
+            {"backend": {"type": "http", "base_url": "http://127.0.0.1:1", "model_name": "m", "api_key_env": 5}},
+            "api_key_env",
+        ),
+        "default_reply_number": ({"backend": {"type": "stub", "default_reply": 5}}, "default_reply"),
+        "scripted_reply_number": ({"backend": {"type": "stub", "scripted": {"a": 5}}}, "scripted"),
+        "char_logprob_string": ({"backend": {"type": "stub", "char_logprob": "x"}}, "char_logprob"),
+        "logprob_table_entry_string": ({"backend": {"type": "stub", "logprob_table": {" A": "x"}}}, "logprob_table"),
     }
 
     @pytest.mark.parametrize("extra,named", list(CONFIG_ERRORS.values()), ids=list(CONFIG_ERRORS))
@@ -436,6 +447,14 @@ class TestReportCommand:
         assert err.count("\n") == 1
         assert f"{meta_path}: not JSON" in err
 
+    def test_run_meta_not_an_object(self, tmp_path, fixture_dataset_path, capsys):
+        runs = self._run(tmp_path, fixture_dataset_path)
+        meta_path = runs / "fixture10" / "stub" / "run_meta.json"
+        meta_path.write_text("[]", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--runs", str(runs)]) == 2
+        assert capsys.readouterr().err == f"dataset error: {meta_path}: not a JSON object\n"
+
     def test_failed_replace_keeps_previous_report(self, tmp_path, fixture_dataset_path, monkeypatch):
         runs = self._run(tmp_path, fixture_dataset_path)
         out_dir = tmp_path / "reports"
@@ -451,6 +470,28 @@ class TestReportCommand:
         assert main(["report", "--runs", str(runs), "--format", "csv", "--out", str(out_path)]) == 1
         assert out_path.read_bytes() == before
         assert [p.name for p in out_dir.iterdir()] == ["report.md"]
+
+    def test_reports_the_metrics_of_the_run(self, tmp_path, capsys):
+        # every item errors, so only the metric names stored with the run name the columns
+        dataset = tmp_path / "bleu.json"
+        dataset.write_text(json.dumps({
+            "meta": {"name": "bleuset", "metrics": ["bleu"]},
+            "data": [{"id": "a", "instruction": "say x", "question_type": "free_open", "answer": "x"}],
+        }), encoding="utf-8")
+        http = {"type": "http", "base_url": "http://127.0.0.1:1", "model_name": "m"}
+        config = make_config(tmp_path, dataset, extra={"backend": http, "max_retries": 0})
+        assert main(["eval", "--config", str(config)]) == 3
+        eval_out = capsys.readouterr().out
+        assert "| category | bleu |" in eval_out
+        assert main(["report", "--runs", str(tmp_path / "runs")]) == 0
+        assert capsys.readouterr().out == eval_out
+        # a run_meta.json written before runs stored their metrics reports the default ones
+        meta_path = tmp_path / "runs" / "bleuset" / "m" / "run_meta.json"
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        del meta["metrics"]
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        assert main(["report", "--runs", str(tmp_path / "runs")]) == 0
+        assert "| category | accuracy |" in capsys.readouterr().out
 
     def test_empty_runs_dir(self, tmp_path):
         assert main(["report", "--runs", str(tmp_path)]) == 1

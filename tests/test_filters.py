@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,10 +11,12 @@ from omnieval import (
     QuestionType,
     StubBackend,
     extract_answer,
-    model_extract,
     normalize_text,
 )
 from omnieval.errors import ConfigError, TransportError
+from omnieval.runner import model_extract
+
+FILTERS_PY = Path(__file__).resolve().parent.parent / "src" / "omnieval" / "filters.py"
 
 CHOICES4 = ["Paris", "Rome", "Berlin", "Madrid"]
 
@@ -107,21 +112,33 @@ class TestModelExtract:
     def test_scripted_extractor(self):
         extractor = StubBackend(default_reply="B")
         raw = "Well, after much deliberation I lean towards the second item."
-        got = model_extract(raw, QuestionType.SINGLE_CHOICE, CHOICES4, extractor)
+        got = model_extract(raw, QuestionType.SINGLE_CHOICE, CHOICES4, extractor.generate)
         assert got.value == "B"
         assert got.status is ExtractionStatus.MODEL_EXTRACTED
 
     def test_unextractable_reply_stays_unextracted(self):
         extractor = StubBackend(default_reply="beats me")
-        got = model_extract("mumble", QuestionType.SINGLE_CHOICE, CHOICES4, extractor)
+        got = model_extract("mumble", QuestionType.SINGLE_CHOICE, CHOICES4, extractor.generate)
         assert got.status is ExtractionStatus.UNEXTRACTED
 
     def test_transport_failure_is_soft(self):
         extractor = StubBackend(default_reply="B", failures=[TransportError("down")])
-        got = model_extract("mumble", QuestionType.SINGLE_CHOICE, CHOICES4, extractor)
+        got = model_extract("mumble", QuestionType.SINGLE_CHOICE, CHOICES4, extractor.generate)
         assert got.status is ExtractionStatus.UNEXTRACTED
 
-    def test_extractor_must_generate(self):
-        extractor = StubBackend(supports_generation=False)
-        with pytest.raises(ConfigError):
-            model_extract("x", QuestionType.SINGLE_CHOICE, CHOICES4, extractor)
+
+class TestLayering:
+    def test_filters_makes_no_model_call(self):
+        # filters is a pure stage: it imports nothing from the package that
+        # could reach a backend, and never imports inside a function
+        tree = ast.parse(FILTERS_PY.read_text(encoding="utf-8"))
+        package_imports = []
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = [n for n in ast.walk(node) if isinstance(n, (ast.Import, ast.ImportFrom))]
+                assert not inner, f"{node.name} imports inside the function"
+            if isinstance(node, ast.ImportFrom) and (node.level > 0 or node.module.startswith("omnieval")):
+                package_imports.append(node.module.removeprefix("omnieval."))
+            if isinstance(node, ast.Import):
+                package_imports += [a.name for a in node.names if a.name.startswith("omnieval")]
+        assert package_imports == ["errors"]

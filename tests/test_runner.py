@@ -404,6 +404,13 @@ class TestGenerationEval:
         with pytest.raises(ConfigError):
             run_generation_eval([make_item(1)], backend, RunConfig())
 
+    def test_extractor_must_generate(self):
+        stub = StubBackend()
+        extractor = StubBackend(supports_generation=False)
+        with pytest.raises(ConfigError, match="extractor"):
+            run_generation_eval([make_item(1)], stub, RunConfig(extractor=extractor))
+        assert stub.generate_calls == 0 and extractor.generate_calls == 0
+
     def test_scoring_stage_failure_is_soft(self, monkeypatch):
         import omnieval.runner as runner_mod
 
