@@ -357,6 +357,10 @@ class HttpBackend(Backend):
         parts = urlsplit(base_url) if isinstance(base_url, str) else None
         if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
             raise ConfigError(f"base_url must be an http:// or https:// URL with a host, got {base_url!r}")
+        try:
+            parts.port
+        except ValueError as exc:  # out of range or not a number
+            raise ConfigError(f"base_url has a bad port: {exc}, got {base_url!r}") from None
         if not isinstance(api_key_env, str):
             raise ConfigError(f"api_key_env must be the name of an environment variable, got {api_key_env!r}")
         self.base_url = base_url.rstrip("/")

@@ -151,15 +151,73 @@ class RunRecord:
 
 # --- cache -------------------------------------------------------------------
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return _CANONICAL.encode(obj)
+
+
+# Stands in for the per-item values while the bytes around them are made.
+# ``rsplit`` finds its last occurrence, and "request" sorts after "model" and
+# "options", so a model name or option holding it cannot move the split.
+_SLOT = "\x00omnieval-slot\x00"
+
+
+def _around(obj, slots: int = 1) -> list[bytes]:
+    """The canonical bytes of ``obj`` before, between and after its slots."""
+    return [part.encode("utf-8") for part in canonical_json(obj).rsplit(canonical_json(_SLOT), slots)]
+
+
+# "context" sorts before "continuation" and "kind", so a ppl context digest and
+# its choices' keys share every byte up to the end of the context
+_GENERATE = _around({"kind": "generate", "conversation": _SLOT})
+_PPL_CONTEXT = _around({"kind": "ppl_context", "context": _SLOT})
+_LOGLIKELIHOOD = _around({"kind": "loglikelihood", "context": _SLOT, "continuation": _SLOT}, 2)
+
+
+class CacheKeys:
+    """The cache keys of one model under one set of options: each is the
+    SHA-256 of ``canonical_json({"model", "request", "options"})``. Every byte
+    but the request's per-item values is the same for a whole run, so those
+    bytes are made once, by ``canonical_json`` itself, and a key only encodes
+    the item's own values and hashes them with the bytes around them."""
+
+    def __init__(self, model_name: str, options: dict | None):
+        head, tail = _around({"model": model_name, "request": _SLOT, "options": options})
+        self._request = (head, tail)
+        self._generate = (head + _GENERATE[0], _GENERATE[1] + tail)
+        self._context = head + _PPL_CONTEXT[0]
+        self._context_tail = _PPL_CONTEXT[1] + tail
+        self._continuation = _LOGLIKELIHOOD[1]
+        self._continuation_tail = _LOGLIKELIHOOD[2] + tail
+
+    def key(self, request: dict) -> str:
+        head, tail = self._request
+        return hashlib.sha256(head + canonical_json(request).encode("utf-8") + tail).hexdigest()
+
+    def generate(self, bundle: PromptBundle) -> str:
+        head, tail = self._generate
+        return hashlib.sha256(head + canonical_json(bundle_request(bundle)).encode("utf-8") + tail).hexdigest()
+
+    def ppl(self, context: str, continuations: list[str]) -> tuple[str, list[str]]:
+        """The ``ppl_context`` digest of ``context`` and the loglikelihood key
+        of each continuation of it; the context is hashed once for all."""
+        state = hashlib.sha256(self._context + canonical_json(context).encode("utf-8"))
+        digest = state.copy()
+        digest.update(self._context_tail)
+        keys = []
+        for continuation in continuations:
+            choice = state.copy()
+            choice.update(self._continuation + canonical_json(continuation).encode("utf-8") + self._continuation_tail)
+            keys.append(choice.hexdigest())
+        return digest.hexdigest(), keys
 
 
 def cache_key(model_name: str, request: dict, options: dict | None = None) -> str:
     """SHA-256 of the canonical serialization of the full request. Stable
     across runs, platforms, and JSON key order."""
-    payload = {"model": model_name, "request": request, "options": options}
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+    return CacheKeys(model_name, options).key(request)
 
 
 def bundle_request(bundle: PromptBundle) -> dict:
@@ -174,14 +232,15 @@ def bundle_request(bundle: PromptBundle) -> dict:
 
 
 def generate_key(model_name: str, bundle: PromptBundle, options: GenerationOptions) -> str:
-    request = {"kind": "generate", "conversation": bundle_request(bundle)}
-    return cache_key(model_name, request, options.to_dict())
+    return CacheKeys(model_name, options.to_dict()).generate(bundle)
 
 
 class ResponseCache:
     """Append-only JSONL cache sharded by the first two digest hex chars.
 
-    Reads populate an in-memory index per shard; writes go through one lock.
+    Each shard is read and parsed once, into an in-memory index, without the
+    lock; the first index published for a shard is the one every thread uses.
+    Writes go through one lock.
     Each shard is opened for appending once and each entry is one
     ``os.write``, so entries of processes sharing the directory do not
     interleave. The newest entry for a key wins, which makes interrupted runs
@@ -200,32 +259,40 @@ class ResponseCache:
 
     def _shard(self, key: str) -> dict[str, dict]:
         name = key[:2]
+        index = self._shards.get(name)
+        if index is not None:
+            return index
+        index = {}
+        shard_path = os.path.join(self.cache_dir, f"{name}.jsonl")  # cheaper than a Path per shard
+        try:
+            with open(shard_path, "rb") as f:
+                data = f.read()
+        except FileNotFoundError:
+            data = b""
+        torn = 0
+        # bytes, not str: str.splitlines also splits at U+0085 and U+2028, which entries keep raw
+        for line in data.split(b"\n"):
+            if not line.strip():
+                continue
+            try:
+                entry = json.loads(line)
+            except ValueError:  # not JSON, or torn inside a multi-byte character
+                entry = None
+            if not isinstance(entry, dict) or "key" not in entry:
+                torn += 1
+                continue
+            index[entry["key"]] = entry
         with self._lock:
-            if name not in self._shards:
-                index: dict[str, dict] = {}
-                shard_path = self.cache_dir / f"{name}.jsonl"
-                if shard_path.exists():
-                    data = shard_path.read_bytes()
-                    torn = 0
-                    # bytes, not str: str.splitlines also splits at U+0085 and U+2028, which entries keep raw
-                    for line in data.split(b"\n"):
-                        if not line.strip():
-                            continue
-                        try:
-                            entry = json.loads(line)
-                        except ValueError:  # not JSON, or torn inside a multi-byte character
-                            entry = None
-                        if not isinstance(entry, dict) or "key" not in entry:
-                            torn += 1
-                            continue
-                        index[entry["key"]] = entry
-                    if torn:
-                        logger.warning("cache shard %s: skipped %d unreadable line(s)", shard_path, torn)
-                    if data and not data.endswith(b"\n"):
-                        # a torn last line: start the next entry on a line of its own
-                        self._unterminated.add(name)
-                self._shards[name] = index
-            return self._shards[name]
+            shared = self._shards.setdefault(name, index)
+            # Only the published index was read before this process's first put
+            # to the shard; another thread may have read a put half written.
+            published = shared is index
+            if published and data and not data.endswith(b"\n"):
+                # a torn last line: start the next entry on a line of its own
+                self._unterminated.add(name)
+        if published and torn:
+            logger.warning("cache shard %s: skipped %d unreadable line(s)", shard_path, torn)
+        return shared
 
     def get(self, key: str):
         entry = self._shard(key).get(key)
@@ -295,6 +362,9 @@ def with_retries(thunk, *, max_retries: int = 3, backoff_base_ms: int = 500, sle
 
 # --- evaluation --------------------------------------------------------------
 
+EXTRACTION_OPTIONS = GenerationOptions(temperature=0.0, max_new_tokens=64)
+
+
 def model_extract(raw: str, qtype: QuestionType, choices: list[str] | tuple[str, ...] | None, generate,
                   rules: tuple[ExtractionRule, ...] = ()) -> ExtractedAnswer:
     """Ask an extractor model to isolate the answer, then run the regex bank
@@ -302,7 +372,7 @@ def model_extract(raw: str, qtype: QuestionType, choices: list[str] | tuple[str,
     ``BackendError`` from it degrades to ``unextracted`` and never propagates."""
     bundle = PromptBundle(system_text=None, turns=(Turn("user", extraction_prompt(raw, qtype, choices)),))
     try:
-        reply = generate(bundle, GenerationOptions(temperature=0.0, max_new_tokens=64))
+        reply = generate(bundle, EXTRACTION_OPTIONS)
     except BackendError as exc:
         logger.warning("model extraction failed: %s", exc)
         return UNEXTRACTED
@@ -398,9 +468,14 @@ def _run(
                 cache.put(key, kind, response)
         return response
 
-    # the extractor's generate call, cached and retried like the model's
-    extract = lambda bundle, options: call(generate_key(extractor.capabilities().model_name, bundle, options),
-                                           "generate", extractor.generate, bundle, options)
+    # loglikelihood requests carry no generation options, so their keys hold none
+    keys = CacheKeys(caps.model_name, None if ppl else config.generation.to_dict())
+    if extractor is not None:
+        # the extractor's generate call, cached and retried like the model's;
+        # model_extract always passes EXTRACTION_OPTIONS
+        extract_keys = CacheKeys(extractor.capabilities().model_name, EXTRACTION_OPTIONS.to_dict())
+        extract = lambda bundle, options: call(extract_keys.generate(bundle), "generate",
+                                               extractor.generate, bundle, options)
 
     def task(item: EvalItem) -> RunRecord:
         digest = ""
@@ -408,15 +483,12 @@ def _run(
             bundle = render_prompt(item, config.template, config.use_cot, config.num_shots)
             if ppl:
                 context = flatten_bundle(bundle, config.template.exemplar_separator)
-                digest = cache_key(caps.model_name, {"kind": "ppl_context", "context": context}, None)
-                results = []
-                for choice in item.choices:
-                    continuation = " " + choice
-                    request = {"kind": "loglikelihood", "context": context, "continuation": continuation}
-                    key = cache_key(caps.model_name, request, None)
-                    results.append(call(key, "loglikelihood", backend.loglikelihood, context, continuation))
+                continuations = [" " + choice for choice in item.choices]
+                digest, choice_keys = keys.ppl(context, continuations)
+                results = [call(key, "loglikelihood", backend.loglikelihood, context, continuation)
+                           for key, continuation in zip(choice_keys, continuations)]
                 return _ppl_record(item, digest, results)
-            digest = generate_key(caps.model_name, bundle, config.generation)
+            digest = keys.generate(bundle)
             text = call(digest, "generate", backend.generate, bundle, config.generation).text
             fallback = None
             if extractor is not None:

@@ -106,6 +106,9 @@ class TestEval:
         "base_url_without_scheme": (
             {"backend": {"type": "http", "base_url": "localhost:8000", "model_name": "m"}}, "base_url"
         ),
+        "base_url_port_out_of_range": (
+            {"backend": {"type": "http", "base_url": "http://127.0.0.1:99999", "model_name": "m"}}, "base_url"
+        ),
         "api_key_env_number": (
             {"backend": {"type": "http", "base_url": "http://127.0.0.1:1", "model_name": "m", "api_key_env": 5}},
             "api_key_env",

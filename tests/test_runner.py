@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -26,7 +27,15 @@ from omnieval.backends.base import FinishReason, ModelResponse
 from omnieval.dataset import DatasetManifest, EvalItem
 from omnieval.errors import BackendRefused, ConfigError, RateLimited, TransportError
 from omnieval.prompts import PromptBundle, Turn
-from omnieval.runner import ResponseCache, RunRecord, generate_key, records_to_jsonl, write_run_output
+from omnieval.runner import (
+    CacheKeys,
+    ResponseCache,
+    RunRecord,
+    bundle_request,
+    generate_key,
+    records_to_jsonl,
+    write_run_output,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -98,6 +107,61 @@ class TestCacheKey:
                 for line in shard.read_bytes().splitlines()}
         assert keys == {"0742e6ce549f883e50f9d494a5554300b498c7802b8a1ac41384968c596b9e7e",
                         "5839f72a697bbf44656fcc38bc506b7a079d0f670d7b7bc6de2a4be13207e7f3"}
+
+
+# Adversarial strings for the key builder: JSON escapes, separators that
+# str.splitlines knows, astral characters, empty strings and the builder's own
+# slot value.
+SLOT = "\x00omnieval-slot\x00"
+ODD_TEXTS = ["", 'say "hi"', "back\\slash", "nul\x00byte", "line\u2028sep", "next\u0085line",
+             "astral \U0001F600\U00010348", SLOT, f'"{SLOT}"', "caf\u00e9 \u4e2d\u6587"]
+
+
+def oracle_key(model_name, request, options):
+    """The key's definition: SHA-256 of the whole payload dumped at once."""
+    payload = {"model": model_name, "request": request, "options": options}
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestCacheKeys:
+    """The per-run builder gives the bytes of cache_key for every request."""
+
+    @pytest.mark.parametrize("model_name", ["org/model-7b", *ODD_TEXTS])
+    def test_generate_keys(self, model_name):
+        rng = random.Random(model_name)
+        for system in (None, *ODD_TEXTS):
+            options = GenerationOptions(temperature=0.5, stop_sequences=(SLOT, rng.choice(ODD_TEXTS), "\n"),
+                                        seed=rng.choice([None, 7]))
+            turns = tuple(
+                Turn(role, rng.choice(ODD_TEXTS), tuple(rng.sample(ODD_TEXTS, rng.randrange(3))))
+                for role in rng.choice([("user",), ("user", "assistant", "user")])
+            )
+            bundle = PromptBundle(system, turns, item_id="q1")
+            request = {"kind": "generate", "conversation": bundle_request(bundle)}
+            want = oracle_key(model_name, request, options.to_dict())
+            assert cache_key(model_name, request, options.to_dict()) == want
+            assert CacheKeys(model_name, options.to_dict()).generate(bundle) == want
+            assert generate_key(model_name, bundle, options) == want
+
+    @pytest.mark.parametrize("model_name", ["org/model-7b", *ODD_TEXTS])
+    @pytest.mark.parametrize("n_choices", [1, 26])
+    def test_ppl_keys(self, model_name, n_choices):
+        keys = CacheKeys(model_name, None)
+        for context in ODD_TEXTS:
+            continuations = [" " + ODD_TEXTS[i % len(ODD_TEXTS)] + str(i) for i in range(n_choices)]
+            digest, choice_keys = keys.ppl(context, continuations)
+            request = {"kind": "ppl_context", "context": context}
+            assert digest == cache_key(model_name, request, None) == oracle_key(model_name, request, None)
+            assert len(choice_keys) == n_choices
+            for key, continuation in zip(choice_keys, continuations):
+                request = {"kind": "loglikelihood", "context": context, "continuation": continuation}
+                assert key == cache_key(model_name, request, None) == oracle_key(model_name, request, None)
+
+    def test_any_request(self):
+        for request in ({}, {"a": SLOT, "b": [SLOT, None]}, {"z": {"y": ODD_TEXTS}}):
+            for options in (None, {"stop_sequences": [SLOT]}, {}):
+                assert CacheKeys(SLOT, options).key(request) == oracle_key(SLOT, request, options)
 
 
 class TestWithRetries:
@@ -531,6 +595,60 @@ class TestResponseCache:
         cache.put("aa-torn", "generate", ModelResponse("again", FinishReason.STOP))
         cache.close()
         assert ResponseCache(tmp_path).get("aa-torn").text == "again"
+
+    def test_threads_first_touch_a_shard_while_another_puts(self, tmp_path, caplog):
+        old = [f"aa-old-{i}" for i in range(300)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(10):
+                cache_dir = tmp_path / str(round_)
+                cache = ResponseCache(cache_dir)
+                for key in old:
+                    cache.put(key, "generate", ModelResponse(key, FinishReason.STOP))
+                cache.close()
+                with open(cache_dir / "aa.jsonl", "ab") as shard:
+                    shard.write(b'{"key":"aa-torn","kind":"gen')  # a kill mid-append
+
+                cache = ResponseCache(cache_dir)
+                readers = 6
+                new = [f"aa-new-{i}" for i in range(50)]
+                barrier = threading.Barrier(readers + 1)
+                indexes, hits = [None] * readers, [0] * readers
+
+                def read(i):
+                    barrier.wait(timeout=10)
+                    indexes[i] = cache._shard("aa")
+                    hits[i] = sum(cache.get(key) is not None for key in old)
+
+                def write():
+                    barrier.wait(timeout=10)
+                    for key in new:
+                        cache.put(key, "generate", ModelResponse(key, FinishReason.STOP))
+
+                threads = [threading.Thread(target=read, args=(i,)) for i in range(readers)]
+                threads.append(threading.Thread(target=write))
+                with caplog.at_level("WARNING", logger="omnieval.runner"):
+                    caplog.clear()
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert hits == [len(old)] * readers
+                assert all(index is cache._shard("aa") for index in indexes)
+                assert all(cache.get(key).text == key for key in old + new)
+                # one thread's index is published, and only it reports the torn line
+                assert sum("skipped 1 unreadable line" in m for m in caplog.messages) == 1
+                cache.close()
+
+                lines = (cache_dir / "aa.jsonl").read_bytes().split(b"\n")
+                assert lines[len(old)] == b'{"key":"aa-torn","kind":"gen'  # the next entry began a new line
+                reread = ResponseCache(cache_dir)
+                assert all(reread.get(key).text == key for key in old + new)
+                assert reread.get("aa-torn") is None
+        finally:
+            sys.setswitchinterval(switch)
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     @pytest.mark.parametrize("mode", ["generate", "ppl"])
