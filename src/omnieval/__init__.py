@@ -39,7 +39,6 @@ from .runner import (
     ResponseCache,
     RunConfig,
     RunRecord,
-    cache_key,
     model_extract,
     run_generation_eval,
     run_ppl_eval,

@@ -386,11 +386,12 @@ class HttpBackend(Backend):
         url = f"{self.base_url}{endpoint}"
         status, headers, text = self._transport(url, body, self._headers(), self.timeout_s)
         if status == 429:
-            retry_after = headers.get("Retry-After") or headers.get("retry-after")
             try:
-                retry_after_s = float(retry_after) if retry_after is not None else None
-            except ValueError:
-                retry_after_s = None
+                retry_after_s = float(headers.get("Retry-After") or headers.get("retry-after"))
+            except (TypeError, ValueError):
+                retry_after_s = math.nan
+            # no hint, or one that time.sleep cannot take (inf): back off as usual
+            retry_after_s = retry_after_s if math.isfinite(retry_after_s) else None
             raise RateLimited(f"{url}: rate limited (429)", retry_after_s=retry_after_s)
         if 400 <= status < 500:
             raise BackendRefused(f"{url}: backend refused with status {status}: {text[:200]}")

@@ -129,18 +129,16 @@ def _manifest_from_meta(meta: dict, defaults: DatasetManifest | None, fallback_n
         default_qtype = QuestionType(qtype) if qtype else base.default_question_type
     except ValueError:
         raise SchemaError(f"bad field: meta.default_question_type: {qtype!r}") from None
-    few_shot = tuple(
-        _exemplar(f, "meta", i) for i, f in enumerate(meta.get("few_shot", []))
-    ) or base.few_shot
+    bad = "bad field: meta."
     return DatasetManifest(
         name=meta.get("name", base.name or fallback_name),
         version=str(meta.get("version", base.version)),
         default_question_type=default_qtype,
         metrics=meta.get("metrics", base.metrics),
-        language=meta.get("language", base.language),
-        domain=meta.get("domain", base.domain),
-        modality=meta.get("modality", base.modality),
-        few_shot=few_shot,
+        language=_text(meta, "language", base.language, bad),
+        domain=_text(meta, "domain", base.domain, bad),
+        modality=_text(meta, "modality", base.modality, bad),
+        few_shot=_few_shot(meta, "meta", bad) or base.few_shot,
     )
 
 
@@ -185,11 +183,10 @@ def validate_item(record, manifest: DatasetManifest, index: int = 0) -> EvalItem
         fail("missing field: answer")
     answer = _canonical_answer(record["answer"], qtype, choices, fail)
 
-    few_shot = tuple(
-        _exemplar(f, where, i) for i, f in enumerate(record.get("few_shot", []))
-    ) or manifest.few_shot
+    bad = f"{where}: bad field: "
+    few_shot = _few_shot(record, where, bad) or manifest.few_shot
 
-    category = record.get("category")
+    category = _text(record, "category", None, bad)
     if category == RESERVED_CATEGORY:
         fail(f"bad field: category: {RESERVED_CATEGORY!r} is reserved")
 
@@ -205,12 +202,12 @@ def validate_item(record, manifest: DatasetManifest, index: int = 0) -> EvalItem
         answer=answer,
         choices=choices,
         few_shot=few_shot,
-        cot_directive=record.get("cot_directive"),
+        cot_directive=_text(record, "cot_directive", None, bad),
         images=tuple(images),
         category=category,
-        language=record.get("language", manifest.language),
-        domain=record.get("domain", manifest.domain),
-        modality=record.get("modality", manifest.modality),
+        language=_text(record, "language", manifest.language, bad),
+        domain=_text(record, "domain", manifest.domain, bad),
+        modality=_text(record, "modality", manifest.modality, bad),
         extra=extra,
     )
 
@@ -266,6 +263,22 @@ def _parse_letter_set(answer, choices) -> tuple[str, ...] | None:
             return None
         letters.add(part)
     return tuple(sorted(letters)) if letters else None
+
+
+def _text(raw: dict, key: str, default, bad: str) -> str | None:
+    """``raw[key]`` if it is a string or null, ``default`` if it is absent.
+    ``bad`` starts the error message, up to the field's name."""
+    value = raw.get(key, default)
+    if value is not None and not isinstance(value, str):
+        raise SchemaError(f"{bad}{key}: must be a string or null, got {value!r}")
+    return value
+
+
+def _few_shot(raw: dict, where: str, bad: str) -> tuple[FewShotExemplar, ...]:
+    exemplars = raw.get("few_shot", [])
+    if not isinstance(exemplars, list):
+        raise SchemaError(f"{bad}few_shot: must be a list of objects, got {exemplars!r}")
+    return tuple(_exemplar(f, where, i) for i, f in enumerate(exemplars))
 
 
 def _exemplar(raw, where, index) -> FewShotExemplar:

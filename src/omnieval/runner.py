@@ -158,66 +158,40 @@ def canonical_json(obj) -> str:
     return _CANONICAL.encode(obj)
 
 
-# Stands in for the per-item values while the bytes around them are made.
-# ``rsplit`` finds its last occurrence, and "request" sorts after "model" and
-# "options", so a model name or option holding it cannot move the split.
-_SLOT = "\x00omnieval-slot\x00"
-
-
-def _around(obj, slots: int = 1) -> list[bytes]:
-    """The canonical bytes of ``obj`` before, between and after its slots."""
-    return [part.encode("utf-8") for part in canonical_json(obj).rsplit(canonical_json(_SLOT), slots)]
-
-
-# "context" sorts before "continuation" and "kind", so a ppl context digest and
-# its choices' keys share every byte up to the end of the context
-_GENERATE = _around({"kind": "generate", "conversation": _SLOT})
-_PPL_CONTEXT = _around({"kind": "ppl_context", "context": _SLOT})
-_LOGLIKELIHOOD = _around({"kind": "loglikelihood", "context": _SLOT, "continuation": _SLOT}, 2)
+def _json(obj) -> bytes:
+    return canonical_json(obj).encode("utf-8")
 
 
 class CacheKeys:
     """The cache keys of one model under one set of options: each is the
     SHA-256 of ``canonical_json({"model", "request", "options"})``. Every byte
     but the request's per-item values is the same for a whole run, so those
-    bytes are made once, by ``canonical_json`` itself, and a key only encodes
-    the item's own values and hashes them with the bytes around them."""
+    bytes are made once, and a key only encodes the item's own values and
+    hashes them with the literal bytes around them."""
 
+    # canonical_json sorts keys: the payload reads "model", "options",
+    # "request", and a request reads "context", "continuation", "conversation",
+    # "kind". So a ppl context digest and its choices' keys share every byte up
+    # to the end of the context.
     def __init__(self, model_name: str, options: dict | None):
-        head, tail = _around({"model": model_name, "request": _SLOT, "options": options})
-        self._request = (head, tail)
-        self._generate = (head + _GENERATE[0], _GENERATE[1] + tail)
-        self._context = head + _PPL_CONTEXT[0]
-        self._context_tail = _PPL_CONTEXT[1] + tail
-        self._continuation = _LOGLIKELIHOOD[1]
-        self._continuation_tail = _LOGLIKELIHOOD[2] + tail
-
-    def key(self, request: dict) -> str:
-        head, tail = self._request
-        return hashlib.sha256(head + canonical_json(request).encode("utf-8") + tail).hexdigest()
+        self._head = b'{"model":' + _json(model_name) + b',"options":' + _json(options) + b',"request":'
 
     def generate(self, bundle: PromptBundle) -> str:
-        head, tail = self._generate
-        return hashlib.sha256(head + canonical_json(bundle_request(bundle)).encode("utf-8") + tail).hexdigest()
+        return hashlib.sha256(self._head + b'{"conversation":' + _json(bundle_request(bundle))
+                              + b',"kind":"generate"}}').hexdigest()
 
     def ppl(self, context: str, continuations: list[str]) -> tuple[str, list[str]]:
         """The ``ppl_context`` digest of ``context`` and the loglikelihood key
         of each continuation of it; the context is hashed once for all."""
-        state = hashlib.sha256(self._context + canonical_json(context).encode("utf-8"))
+        state = hashlib.sha256(self._head + b'{"context":' + _json(context))
         digest = state.copy()
-        digest.update(self._context_tail)
+        digest.update(b',"kind":"ppl_context"}}')
         keys = []
         for continuation in continuations:
             choice = state.copy()
-            choice.update(self._continuation + canonical_json(continuation).encode("utf-8") + self._continuation_tail)
+            choice.update(b',"continuation":' + _json(continuation) + b',"kind":"loglikelihood"}}')
             keys.append(choice.hexdigest())
         return digest.hexdigest(), keys
-
-
-def cache_key(model_name: str, request: dict, options: dict | None = None) -> str:
-    """SHA-256 of the canonical serialization of the full request. Stable
-    across runs, platforms, and JSON key order."""
-    return CacheKeys(model_name, options).key(request)
 
 
 def bundle_request(bundle: PromptBundle) -> dict:
@@ -231,10 +205,6 @@ def bundle_request(bundle: PromptBundle) -> dict:
     }
 
 
-def generate_key(model_name: str, bundle: PromptBundle, options: GenerationOptions) -> str:
-    return CacheKeys(model_name, options.to_dict()).generate(bundle)
-
-
 class ResponseCache:
     """Append-only JSONL cache sharded by the first two digest hex chars.
 
@@ -242,11 +212,13 @@ class ResponseCache:
     lock; the first index published for a shard is the one every thread uses.
     Writes go through one lock.
     Each shard is opened for appending once and each entry is one
-    ``os.write``, so entries of processes sharing the directory do not
-    interleave. The newest entry for a key wins, which makes interrupted runs
-    resumable. A line torn by a kill mid-append is skipped, so only its own
-    key is refetched. ``close`` releases the shard descriptors; a ``put``
-    after it raises, so a worker still running then cannot reopen one.
+    ``os.write`` of ``\\n`` and the entry, so entries of processes sharing the
+    directory do not interleave, and each starts its own line even after a
+    tail torn by a kill or while another process's append is in flight. The
+    newest entry for a key wins, which makes interrupted runs resumable. A
+    torn line is skipped, so only its own key is refetched. ``close``
+    releases the shard descriptors; a ``put`` after it raises, so a worker
+    still running then cannot reopen one.
     """
 
     def __init__(self, cache_dir):
@@ -254,7 +226,6 @@ class ResponseCache:
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._shards: dict[str, dict[str, dict]] = {}
-        self._unterminated: set[str] = set()
         self._fds: dict[str, int] | None = {}
 
     def _shard(self, key: str) -> dict[str, dict]:
@@ -284,13 +255,8 @@ class ResponseCache:
             index[entry["key"]] = entry
         with self._lock:
             shared = self._shards.setdefault(name, index)
-            # Only the published index was read before this process's first put
-            # to the shard; another thread may have read a put half written.
-            published = shared is index
-            if published and data and not data.endswith(b"\n"):
-                # a torn last line: start the next entry on a line of its own
-                self._unterminated.add(name)
-        if published and torn:
+        # only the published index reports: another thread may have read a put half written
+        if torn and shared is index:
             logger.warning("cache shard %s: skipped %d unreadable line(s)", shard_path, torn)
         return shared
 
@@ -309,14 +275,12 @@ class ResponseCache:
             "created_at": datetime.now(timezone.utc).isoformat(),
             "response": response.to_dict(),
         }
-        line = (canonical_json(entry) + "\n").encode("utf-8")
+        line = b"\n" + _json(entry)
         shard = self._shard(key)
         name = key[:2]
         with self._lock:
             if self._fds is None:
                 raise ValueError(f"cache {self.cache_dir} is closed")
-            if name in self._unterminated:
-                line = b"\n" + line
             fd = self._fds.get(name)
             if fd is None:
                 fd = self._fds[name] = os.open(
@@ -324,10 +288,7 @@ class ResponseCache:
                 )
             written = os.write(fd, line)
             if written != len(line):
-                # the line is torn: the next entry starts on a line of its own
-                self._unterminated.add(name)
                 raise OSError(f"cache shard {name}: wrote {written} of {len(line)} bytes")
-            self._unterminated.discard(name)
             shard[key] = entry
 
     def close(self):
@@ -450,10 +411,13 @@ def _run(
     extractor = config.extractor
     if extractor is not None and not extractor.capabilities().supports_generation:
         raise ConfigError("extractor backend does not support generation")
-    if ppl:
-        for item in items:
-            if not item.choices:
-                raise ConfigError(f"ppl mode requires choices on every item; {item.id!r} has none")
+    for item in items:
+        if ppl and not item.choices:
+            raise ConfigError(f"ppl mode requires choices on every item; {item.id!r} has none")
+        # a ppl context is text only, so its images would be dropped without a word
+        if item.images and (ppl or not caps.supports_images):
+            taker = "ppl mode" if ppl else f"backend {caps.model_name!r}"
+            raise ConfigError(f"{taker} does not take images; {item.id!r} has some")
     cache = ResponseCache(config.cache_dir) if config.cache_dir else None
     metrics = manifest.metrics if manifest is not None else config.default_metrics
 

@@ -12,6 +12,7 @@ from omnieval import (
     PromptBundle,
     StubBackend,
     Turn,
+    with_retries,
 )
 from omnieval.backends.base import DecodingMode, FinishReason, LoglikelihoodResult, ModelResponse
 from omnieval.backends.http import (
@@ -259,6 +260,18 @@ class TestHttpBackendErrors:
         with pytest.raises(RateLimited) as err:
             self._backend(transport).generate(PING, GenerationOptions())
         assert err.value.retry_after_s == 7.0
+
+    @pytest.mark.parametrize("hint", ["inf", "1e400", "nan", "soon"])
+    def test_retry_after_that_is_no_number_of_seconds_is_ignored(self, hint):
+        limited = (429, {"Retry-After": hint}, "")
+        ok = (200, {}, json.dumps({"choices": [{"message": {"content": "ok"}, "finish_reason": "stop"}]}))
+        replies = iter([limited, limited, ok])
+        backend = HttpBackend("http://test", "m", transport=lambda url, body, headers, timeout_s: next(replies))
+        with pytest.raises(RateLimited) as err:
+            backend.generate(PING, GenerationOptions())
+        assert err.value.retry_after_s is None
+        # time.sleep(inf) would raise OverflowError instead of backing off
+        assert with_retries(lambda: backend.generate(PING, GenerationOptions()), backoff_base_ms=1).text == "ok"
 
     def test_client_error_is_refused(self):
         transport = FakeTransport(status=400, body="bad request")

@@ -12,6 +12,9 @@ from omnieval.estimators import METRIC_REGISTRY
 
 from conftest import FIXTURE_REPLIES
 
+# one single-choice item with an image path that does not exist
+IMAGE_DATASET = str(Path(__file__).parent / "data" / "image_dataset.json")
+
 
 def make_config(tmp_path, dataset_path, *, replies=None, mode="generate", extra=None):
     config = {
@@ -117,6 +120,11 @@ class TestEval:
         "scripted_reply_number": ({"backend": {"type": "stub", "scripted": {"a": 5}}}, "scripted"),
         "char_logprob_string": ({"backend": {"type": "stub", "char_logprob": "x"}}, "char_logprob"),
         "logprob_table_entry_string": ({"backend": {"type": "stub", "logprob_table": {" A": "x"}}}, "logprob_table"),
+        "images_on_a_backend_without_images": (
+            {"dataset": IMAGE_DATASET, "backend": {"type": "http", "base_url": "http://127.0.0.1:1", "model_name": "m"}},
+            "images",
+        ),
+        "images_in_ppl_mode": ({"dataset": IMAGE_DATASET, "mode": "ppl"}, "images"),
     }
 
     @pytest.mark.parametrize("extra,named", list(CONFIG_ERRORS.values()), ids=list(CONFIG_ERRORS))
@@ -147,6 +155,25 @@ class TestEval:
         assert not (tmp_path / "runs").exists()
         assert main(["validate", "--dataset", str(dataset_path)]) == 1
         assert capsys.readouterr().out == "INVALID: bad field: meta.default_question_type: 'nope'\n"
+
+    @pytest.mark.parametrize("part,field", [
+        ("record", "few_shot"), ("record", "category"), ("record", "cot_directive"), ("record", "language"),
+        ("record", "domain"), ("record", "modality"),
+        ("meta", "few_shot"), ("meta", "language"), ("meta", "domain"), ("meta", "modality"),
+    ])
+    def test_dataset_field_of_wrong_type(self, tmp_path, fixture_dataset_path, capsys, part, field):
+        dataset = json.loads(fixture_dataset_path.read_text(encoding="utf-8"))
+        (dataset["data"][0] if part == "record" else dataset["meta"])[field] = 5
+        dataset_path = tmp_path / "fixture.json"
+        dataset_path.write_text(json.dumps(dataset), encoding="utf-8")
+        config = make_config(tmp_path, dataset_path, replies=FIXTURE_REPLIES)
+        assert main(["eval", "--config", str(config)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert re.match(rf"dataset error: .*bad field: (meta\.)?{field}: must be .*, got 5$", lines[0]), lines[0]
+        assert not (tmp_path / "runs").exists()
+        assert main(["validate", "--dataset", str(dataset_path)]) == 1
+        assert capsys.readouterr().out == f"INVALID: {lines[0].removeprefix('dataset error: ')}\n"
 
     def test_ppl_limit_applies_before_choices_check(self, tmp_path, fixture_dataset_path):
         # q01-q05 have choices, q06 onwards do not
@@ -194,9 +221,11 @@ class TestEval:
         )
         config = make_config(tmp_path, dataset)
         # stub supports images but the backend never sees the file; force http-style
-        # failure by pointing at an unreachable server instead
+        # failure by pointing at an unreachable server instead (one that takes
+        # images: a backend that does not is refused before any item runs)
         raw = json.loads(config.read_text(encoding="utf-8"))
-        raw["backend"] = {"type": "http", "base_url": "http://127.0.0.1:1", "model_name": "m"}
+        raw["backend"] = {"type": "http", "base_url": "http://127.0.0.1:1", "model_name": "m",
+                          "supports_images": True}
         raw["max_retries"] = 0
         config.write_text(json.dumps(raw), encoding="utf-8")
         assert main(["eval", "--config", str(config)]) == 3

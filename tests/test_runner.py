@@ -17,7 +17,6 @@ from omnieval import (
     QuestionType,
     RunConfig,
     StubBackend,
-    cache_key,
     load_dataset,
     run_generation_eval,
     run_ppl_eval,
@@ -32,7 +31,7 @@ from omnieval.runner import (
     ResponseCache,
     RunRecord,
     bundle_request,
-    generate_key,
+    canonical_json,
     records_to_jsonl,
     write_run_output,
 )
@@ -57,27 +56,31 @@ def choice_item(i, choices, answer, **kwargs):
     )
 
 
+def generate_key(model_name, bundle, options):
+    return CacheKeys(model_name, options).generate(bundle)
+
+
 class TestCacheKey:
-    REQUEST = {"kind": "generate", "conversation": {"turns": [{"text": "hi"}]}}
+    BUNDLE = PromptBundle(None, (Turn("user", "hi"),))
 
     def test_deterministic(self):
-        a = cache_key("m", self.REQUEST, {"temperature": 0})
-        b = cache_key("m", json.loads(json.dumps(self.REQUEST)), {"temperature": 0})
+        a = generate_key("m", self.BUNDLE, {"temperature": 0})
+        b = generate_key("m", PromptBundle(None, (Turn("user", "hi"),)), json.loads('{"temperature": 0}'))
         assert a == b
         assert len(a) == 64
 
     def test_temperature_changes_digest(self):
-        a = cache_key("m", self.REQUEST, {"temperature": 0})
-        b = cache_key("m", self.REQUEST, {"temperature": 0.1})
+        a = generate_key("m", self.BUNDLE, {"temperature": 0})
+        b = generate_key("m", self.BUNDLE, {"temperature": 0.1})
         assert a != b
 
     def test_key_order_is_canonicalized(self):
-        left = cache_key("m", {"a": 1, "b": 2}, None)
-        right = cache_key("m", {"b": 2, "a": 1}, None)
+        left = generate_key("m", self.BUNDLE, {"a": 1, "b": 2})
+        right = generate_key("m", self.BUNDLE, {"b": 2, "a": 1})
         assert left == right
 
     def test_model_changes_digest(self):
-        assert cache_key("m1", self.REQUEST, None) != cache_key("m2", self.REQUEST, None)
+        assert generate_key("m1", self.BUNDLE, None) != generate_key("m2", self.BUNDLE, None)
 
     # A changed key turns every existing cache cold, so the bytes are pinned.
     def test_golden_generate_key(self):
@@ -87,7 +90,7 @@ class TestCacheKey:
             Turn("user", "Capital of France? Paris or Rome", ("img.png",)),
         ), item_id="q1")
         options = GenerationOptions(temperature=0.5, stop_sequences=("\n",), seed=7)
-        assert generate_key("org/model-7b", bundle, options) == (
+        assert generate_key("org/model-7b", bundle, options.to_dict()) == (
             "8ccbfc09e951b99279ebb8eb2e9d0b8868b62637c402fe09f18722c89c996f14")
         stub = StubBackend(model_name="org/model-7b", default_reply="A")
         records = run_generation_eval([choice_item(1, ["Paris", "Rome"], "A")], stub, RunConfig())
@@ -95,8 +98,8 @@ class TestCacheKey:
             "5a4bf68b99e4debb1be64dcfd355d47a61df97588e290f9843a50910f480e116")
 
     def test_golden_loglikelihood_key(self, tmp_path):
-        request = {"kind": "loglikelihood", "context": "Q: Capital of France?\nA:", "continuation": " Paris"}
-        assert cache_key("org/model-7b", request, None) == (
+        _, (key,) = CacheKeys("org/model-7b", None).ppl("Q: Capital of France?\nA:", [" Paris"])
+        assert key == (
             "8b5af4b2d8e0d9a696fe68eb7eaf631abd3a217ea1b522415d02a676acb72656")
         config = RunConfig(mode="ppl", cache_dir=str(tmp_path))
         records = run_ppl_eval([choice_item(1, ["Paris", "Rome"], "A")],
@@ -104,14 +107,14 @@ class TestCacheKey:
         assert records[0].prompt_digest == (
             "e6365e6672171bc45d307e7d04ac7f395117eae2948e63ba7df2a956df080ce5")
         keys = {json.loads(line)["key"] for shard in tmp_path.glob("*.jsonl")
-                for line in shard.read_bytes().splitlines()}
+                for line in shard.read_bytes().splitlines()[1:]}  # each shard starts with \n
         assert keys == {"0742e6ce549f883e50f9d494a5554300b498c7802b8a1ac41384968c596b9e7e",
                         "5839f72a697bbf44656fcc38bc506b7a079d0f670d7b7bc6de2a4be13207e7f3"}
 
 
 # Adversarial strings for the key builder: JSON escapes, separators that
-# str.splitlines knows, astral characters, empty strings and the builder's own
-# slot value.
+# str.splitlines knows, astral characters, empty strings and the sentinel that
+# an earlier builder put in the per-item places.
 SLOT = "\x00omnieval-slot\x00"
 ODD_TEXTS = ["", 'say "hi"', "back\\slash", "nul\x00byte", "line\u2028sep", "next\u0085line",
              "astral \U0001F600\U00010348", SLOT, f'"{SLOT}"', "caf\u00e9 \u4e2d\u6587"]
@@ -125,7 +128,7 @@ def oracle_key(model_name, request, options):
 
 
 class TestCacheKeys:
-    """The per-run builder gives the bytes of cache_key for every request."""
+    """The per-run builder gives the key of the whole payload dumped at once."""
 
     @pytest.mark.parametrize("model_name", ["org/model-7b", *ODD_TEXTS])
     def test_generate_keys(self, model_name):
@@ -140,9 +143,7 @@ class TestCacheKeys:
             bundle = PromptBundle(system, turns, item_id="q1")
             request = {"kind": "generate", "conversation": bundle_request(bundle)}
             want = oracle_key(model_name, request, options.to_dict())
-            assert cache_key(model_name, request, options.to_dict()) == want
             assert CacheKeys(model_name, options.to_dict()).generate(bundle) == want
-            assert generate_key(model_name, bundle, options) == want
 
     @pytest.mark.parametrize("model_name", ["org/model-7b", *ODD_TEXTS])
     @pytest.mark.parametrize("n_choices", [1, 26])
@@ -152,16 +153,21 @@ class TestCacheKeys:
             continuations = [" " + ODD_TEXTS[i % len(ODD_TEXTS)] + str(i) for i in range(n_choices)]
             digest, choice_keys = keys.ppl(context, continuations)
             request = {"kind": "ppl_context", "context": context}
-            assert digest == cache_key(model_name, request, None) == oracle_key(model_name, request, None)
+            assert digest == oracle_key(model_name, request, None)
             assert len(choice_keys) == n_choices
             for key, continuation in zip(choice_keys, continuations):
                 request = {"kind": "loglikelihood", "context": context, "continuation": continuation}
-                assert key == cache_key(model_name, request, None) == oracle_key(model_name, request, None)
+                assert key == oracle_key(model_name, request, None)
 
     def test_any_request(self):
-        for request in ({}, {"a": SLOT, "b": [SLOT, None]}, {"z": {"y": ODD_TEXTS}}):
-            for options in (None, {"stop_sequences": [SLOT]}, {}):
-                assert CacheKeys(SLOT, options).key(request) == oracle_key(SLOT, request, options)
+        bundle = PromptBundle(SLOT, (Turn("user", f'"{SLOT}"', (SLOT,)),))
+        generate = {"kind": "generate", "conversation": bundle_request(bundle)}
+        for options in (None, {"stop_sequences": [SLOT]}, {}, {"a": SLOT, "b": [SLOT, None]}, {"z": {"y": ODD_TEXTS}}):
+            keys = CacheKeys(SLOT, options)
+            assert keys.generate(bundle) == oracle_key(SLOT, generate, options)
+            digest, (key,) = keys.ppl(SLOT, [SLOT])
+            assert digest == oracle_key(SLOT, {"kind": "ppl_context", "context": SLOT}, options)
+            assert key == oracle_key(SLOT, {"kind": "loglikelihood", "context": SLOT, "continuation": SLOT}, options)
 
 
 class TestWithRetries:
@@ -475,6 +481,14 @@ class TestGenerationEval:
             run_generation_eval([make_item(1)], stub, RunConfig(extractor=extractor))
         assert stub.generate_calls == 0 and extractor.generate_calls == 0
 
+    def test_refuses_images_the_backend_cannot_take(self, tmp_path):
+        backend = StubBackend(supports_images=False)
+        config = RunConfig(cache_dir=str(tmp_path / "cache"))
+        with pytest.raises(ConfigError, match="'it002' has some"):
+            run_generation_eval([make_item(1), make_item(2, images=("img.png",))], backend, config)
+        assert backend.generate_calls == 0
+        assert not (tmp_path / "cache").exists()
+
     def test_scoring_stage_failure_is_soft(self, monkeypatch):
         import omnieval.runner as runner_mod
 
@@ -533,6 +547,16 @@ class TestPplEval:
         with pytest.raises(ConfigError):
             run_ppl_eval(self._items(["a", "b"]), backend, RunConfig(mode="ppl"))
 
+    def test_refuses_image_items(self, tmp_path):
+        # the flattened context has no room for them, and the backend takes images
+        items = [choice_item(1, ["red", "green"], "A", images=("/missing/img.png",))]
+        stub = StubBackend()
+        config = RunConfig(mode="ppl", cache_dir=str(tmp_path / "cache"))
+        with pytest.raises(ConfigError, match="ppl mode does not take images"):
+            run_ppl_eval(items, stub, config)
+        assert stub.loglikelihood_calls == 0
+        assert not (tmp_path / "cache").exists()
+
     def test_ppl_cache_round_trip(self, tmp_path):
         items = self._items(["red", "green"], answer="A")
         table = {" red": (-1.0, 1), " green": (-2.0, 1)}
@@ -569,7 +593,9 @@ class TestResponseCache:
         ]
         assert [w.wait(timeout=60) for w in writers] == [0, 0]
 
-        lines = (tmp_path / "aa.jsonl").read_bytes().splitlines()
+        data = (tmp_path / "aa.jsonl").read_bytes()
+        assert data.startswith(b"\n")
+        lines = [line for line in data.split(b"\n") if line]
         assert len(lines) == 2 * count
         assert all(json.loads(line)["kind"] == "generate" for line in lines)
         cache = ResponseCache(tmp_path)
@@ -596,6 +622,48 @@ class TestResponseCache:
         cache.close()
         assert ResponseCache(tmp_path).get("aa-torn").text == "again"
 
+    def test_entry_in_flight_from_another_process_keeps_its_own_line(self, tmp_path, caplog):
+        # the bytes of another process's put, taken from a cache of its own
+        other = ResponseCache(tmp_path / "other")
+        other.put("aa-other", "generate", ModelResponse("theirs", FinishReason.STOP))
+        other.close()
+        entry = (tmp_path / "other" / "aa.jsonl").read_bytes()
+        shard = tmp_path / "shared" / "aa.jsonl"
+        shard.parent.mkdir()
+        shard.write_bytes(entry[: len(entry) // 2])
+
+        cache = ResponseCache(tmp_path / "shared")
+        with caplog.at_level("WARNING", logger="omnieval.runner"):
+            assert cache.get("aa-other") is None  # loaded mid-append
+        with open(shard, "ab") as f:
+            f.write(entry[len(entry) // 2:])
+        cache.put("aa-mine", "generate", ModelResponse("mine", FinishReason.STOP))
+        cache.close()
+
+        assert b"\n\n" not in shard.read_bytes()
+        reread = ResponseCache(tmp_path / "shared")
+        assert reread.get("aa-other").text == "theirs"
+        assert reread.get("aa-mine").text == "mine"
+
+    def test_shard_in_the_old_format_resumes(self, tmp_path, caplog):
+        # each entry ends in \n, as earlier versions wrote them, and the last one is torn
+        entries = [
+            canonical_json({"key": f"aa-{i}", "kind": "generate", "created_at": "2024-01-01T00:00:00+00:00",
+                            "response": ModelResponse(f"reply {i}", FinishReason.STOP).to_dict()}) + "\n"
+            for i in range(3)
+        ]
+        shard = tmp_path / "aa.jsonl"
+        shard.write_bytes("".join(entries).encode("utf-8")[:-20])
+
+        cache = ResponseCache(tmp_path)
+        with caplog.at_level("WARNING", logger="omnieval.runner"):
+            assert [cache.get(f"aa-{i}") is not None for i in range(3)] == [True, True, False]
+        cache.put("aa-2", "generate", ModelResponse("again", FinishReason.STOP))
+        cache.close()
+
+        reread = ResponseCache(tmp_path)
+        assert [reread.get(f"aa-{i}").text for i in range(3)] == ["reply 0", "reply 1", "again"]
+
     def test_threads_first_touch_a_shard_while_another_puts(self, tmp_path, caplog):
         old = [f"aa-old-{i}" for i in range(300)]
         switch = sys.getswitchinterval()
@@ -608,7 +676,7 @@ class TestResponseCache:
                     cache.put(key, "generate", ModelResponse(key, FinishReason.STOP))
                 cache.close()
                 with open(cache_dir / "aa.jsonl", "ab") as shard:
-                    shard.write(b'{"key":"aa-torn","kind":"gen')  # a kill mid-append
+                    shard.write(b'\n{"key":"aa-torn","kind":"gen')  # a kill mid-append
 
                 cache = ResponseCache(cache_dir)
                 readers = 6
@@ -643,7 +711,7 @@ class TestResponseCache:
                 cache.close()
 
                 lines = (cache_dir / "aa.jsonl").read_bytes().split(b"\n")
-                assert lines[len(old)] == b'{"key":"aa-torn","kind":"gen'  # the next entry began a new line
+                assert lines[len(old) + 1] == b'{"key":"aa-torn","kind":"gen'  # the next entry began a new line
                 reread = ResponseCache(cache_dir)
                 assert all(reread.get(key).text == key for key in old + new)
                 assert reread.get("aa-torn") is None
