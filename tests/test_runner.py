@@ -595,6 +595,7 @@ class TestResponseCache:
 
         data = (tmp_path / "aa.jsonl").read_bytes()
         assert data.startswith(b"\n")
+        assert data.count(b"\n") == 2 * count  # no blank line between entries
         lines = [line for line in data.split(b"\n") if line]
         assert len(lines) == 2 * count
         assert all(json.loads(line)["kind"] == "generate" for line in lines)
