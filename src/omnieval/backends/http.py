@@ -390,8 +390,9 @@ class HttpBackend(Backend):
                 retry_after_s = float(headers.get("Retry-After") or headers.get("retry-after"))
             except (TypeError, ValueError):
                 retry_after_s = math.nan
-            # no hint, or one that time.sleep cannot take (inf): back off as usual
-            retry_after_s = retry_after_s if math.isfinite(retry_after_s) else None
+            # no hint, or one that time.sleep cannot take (inf, 1e10): back off as usual; sleep
+            # adds it to the monotonic clock, so half of TIMEOUT_MAX leaves room for any uptime
+            retry_after_s = retry_after_s if retry_after_s <= threading.TIMEOUT_MAX / 2 else None
             raise RateLimited(f"{url}: rate limited (429)", retry_after_s=retry_after_s)
         if 400 <= status < 500:
             raise BackendRefused(f"{url}: backend refused with status {status}: {text[:200]}")

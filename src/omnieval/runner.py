@@ -205,41 +205,42 @@ def bundle_request(bundle: PromptBundle) -> dict:
     }
 
 
-class ResponseCache:
-    """Append-only JSONL cache sharded by the first two digest hex chars.
+_DECODERS = {"generate": ModelResponse.from_dict, "loglikelihood": LoglikelihoodResult.from_dict}
 
-    Each shard is read and parsed once, into an in-memory index, without the
-    lock; the first index published for a shard is the one every thread uses.
-    Writes go through one lock.
-    Each shard is opened for appending once and each entry is one
-    ``os.write`` of ``\\n`` and the entry, so entries of processes sharing the
-    directory do not interleave, and each starts its own line even after a
-    tail torn by a kill or while another process's append is in flight. The
-    newest entry for a key wins, which makes interrupted runs resumable. A
-    torn line is skipped, so only its own key is refetched. ``close``
-    releases the shard descriptors; a ``put`` after it raises, so a worker
-    still running then cannot reopen one.
+
+class ResponseCache:
+    """Append-only JSONL cache: one file, ``responses.jsonl``, per directory.
+
+    The file is read once, when the cache opens, into an in-memory index,
+    after any ``00.jsonl`` .. ``ff.jsonl`` shards that earlier versions wrote
+    there; those are never written. Each entry is one ``os.write`` of ``\\n``
+    and the entry, through one descriptor opened at the first ``put``, so
+    entries of processes sharing the directory do not interleave, and each
+    starts its own line even after a tail torn by a kill or while another
+    process's append is in flight. The newest entry for a key wins, which
+    makes interrupted runs resumable. A torn line is skipped, and an entry
+    that does not decode as the kind asked for is a miss, so only its own
+    key is refetched. ``close`` releases the descriptor; a ``put`` after it
+    raises, so a worker still running then cannot reopen it.
     """
 
     def __init__(self, cache_dir):
         self.cache_dir = Path(cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
+        self.path = self.cache_dir / "responses.jsonl"
         self._lock = threading.Lock()
-        self._shards: dict[str, dict[str, dict]] = {}
-        self._fds: dict[str, int] | None = {}
+        self._index: dict[str, dict] = {}
+        self._fd: int | None = None
+        self._closed = False
+        for path in sorted(self.cache_dir.glob("[0-9a-f][0-9a-f].jsonl")) + [self.path]:
+            self._load(path)
 
-    def _shard(self, key: str) -> dict[str, dict]:
-        name = key[:2]
-        index = self._shards.get(name)
-        if index is not None:
-            return index
-        index = {}
-        shard_path = os.path.join(self.cache_dir, f"{name}.jsonl")  # cheaper than a Path per shard
+    def _load(self, path: Path):
         try:
-            with open(shard_path, "rb") as f:
+            with open(path, "rb") as f:
                 data = f.read()
         except FileNotFoundError:
-            data = b""
+            return
         torn = 0
         # bytes, not str: str.splitlines also splits at U+0085 and U+2028, which entries keep raw
         for line in data.split(b"\n"):
@@ -249,24 +250,26 @@ class ResponseCache:
                 entry = json.loads(line)
             except ValueError:  # not JSON, or torn inside a multi-byte character
                 entry = None
-            if not isinstance(entry, dict) or "key" not in entry:
+            if not isinstance(entry, dict) or not isinstance(entry.get("key"), str):
                 torn += 1
                 continue
-            index[entry["key"]] = entry
-        with self._lock:
-            shared = self._shards.setdefault(name, index)
-        # only the published index reports: another thread may have read a put half written
-        if torn and shared is index:
-            logger.warning("cache shard %s: skipped %d unreadable line(s)", shard_path, torn)
-        return shared
+            self._index[entry["key"]] = entry
+        if torn:
+            logger.warning("cache %s: skipped %d unreadable line(s)", path, torn)
 
-    def get(self, key: str):
-        entry = self._shard(key).get(key)
+    def get(self, key: str, kind: str):
+        entry = self._index.get(key)
         if entry is None:
             return None
-        if entry["kind"] == "generate":
-            return ModelResponse.from_dict(entry["response"])
-        return LoglikelihoodResult.from_dict(entry["response"])
+        try:
+            if entry["kind"] == kind:
+                return _DECODERS[kind](entry["response"])
+            problem = f"its kind is {entry['kind']!r}"
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            problem = f"{type(exc).__name__}: {exc}"
+        logger.warning("cache %s: entry %s does not decode as %s (%s), fetching it again",
+                       self.path, key, kind, problem)
+        return None
 
     def put(self, key: str, kind: str, response: ModelResponse | LoglikelihoodResult):
         entry = {
@@ -276,26 +279,22 @@ class ResponseCache:
             "response": response.to_dict(),
         }
         line = b"\n" + _json(entry)
-        shard = self._shard(key)
-        name = key[:2]
         with self._lock:
-            if self._fds is None:
+            if self._closed:
                 raise ValueError(f"cache {self.cache_dir} is closed")
-            fd = self._fds.get(name)
-            if fd is None:
-                fd = self._fds[name] = os.open(
-                    self.cache_dir / f"{name}.jsonl", os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644
-                )
-            written = os.write(fd, line)
+            if self._fd is None:
+                self._fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+            written = os.write(self._fd, line)
             if written != len(line):
-                raise OSError(f"cache shard {name}: wrote {written} of {len(line)} bytes")
-            shard[key] = entry
+                raise OSError(f"cache {self.path}: wrote {written} of {len(line)} bytes")
+            self._index[key] = entry
 
     def close(self):
         with self._lock:
-            for fd in (self._fds or {}).values():
-                os.close(fd)
-            self._fds = None
+            if self._fd is not None:
+                os.close(self._fd)
+            self._fd = None
+            self._closed = True
 
 
 # --- retries -----------------------------------------------------------------
@@ -424,7 +423,7 @@ def _run(
     def call(key: str, kind: str, fetch, *args):
         """The cached reply for ``key``, else ``fetch(*args)``'s, made with
         retries and then cached. A failed fetch raises and caches nothing."""
-        response = cache.get(key) if cache else None
+        response = cache.get(key, kind) if cache else None
         if response is None:
             response = with_retries(lambda: fetch(*args), max_retries=config.max_retries,
                                     backoff_base_ms=config.backoff_base_ms)

@@ -261,7 +261,7 @@ class TestHttpBackendErrors:
             self._backend(transport).generate(PING, GenerationOptions())
         assert err.value.retry_after_s == 7.0
 
-    @pytest.mark.parametrize("hint", ["inf", "1e400", "nan", "soon"])
+    @pytest.mark.parametrize("hint", ["inf", "1e400", "nan", "soon", "1e10", "9223372035"])
     def test_retry_after_that_is_no_number_of_seconds_is_ignored(self, hint):
         limited = (429, {"Retry-After": hint}, "")
         ok = (200, {}, json.dumps({"choices": [{"message": {"content": "ok"}, "finish_reason": "stop"}]}))
@@ -270,7 +270,7 @@ class TestHttpBackendErrors:
         with pytest.raises(RateLimited) as err:
             backend.generate(PING, GenerationOptions())
         assert err.value.retry_after_s is None
-        # time.sleep(inf) would raise OverflowError instead of backing off
+        # time.sleep(inf) or time.sleep(1e10) would raise OverflowError instead of backing off
         assert with_retries(lambda: backend.generate(PING, GenerationOptions()), backoff_base_ms=1).text == "ok"
 
     def test_client_error_is_refused(self):

@@ -306,7 +306,7 @@ class TestGenerationEval:
 
     def test_warm_rerun_of_reply_with_line_separator(self, tmp_path, fixture_dataset_path,
                                                       fixture_replies, caplog):
-        # canonical_json writes U+2028 raw; the shard reader must split at b"\n" only
+        # canonical_json writes U+2028 raw; the cache reader must split at b"\n" only
         manifest, items = load_dataset(fixture_dataset_path)
         replies = {**fixture_replies, "q10": "Paris is\u2028the capital\u0085of France."}
         config = RunConfig(cache_dir=str(tmp_path / "cache"))
@@ -324,8 +324,8 @@ class TestGenerationEval:
         cache_dir = tmp_path / "cache"
         config = RunConfig(cache_dir=str(cache_dir))
         cold = run_generation_eval(items, StubBackend(scripted=fixture_replies), config, manifest)
-        shard = cache_dir / f"{next(r for r in cold if r.item_id == 'q09').prompt_digest[:2]}.jsonl"
-        shard.write_bytes(shard.read_bytes()[:-20])  # a kill mid-append
+        path = cache_dir / "responses.jsonl"
+        path.write_bytes(path.read_bytes()[:-20])  # a kill mid-append
 
         stub = StubBackend(scripted=fixture_replies)
         with caplog.at_level("WARNING", logger="omnieval.runner"):
@@ -340,6 +340,36 @@ class TestGenerationEval:
         warm = run_generation_eval(items, stub, config, manifest)
         assert stub.generate_calls == 0
         assert records_to_jsonl(warm) == records_to_jsonl(cold)
+
+    @pytest.mark.parametrize("entry", [
+        {"kind": "generate", "response": {"txt": "oops"}},
+        {"kind": "generate", "response": {"text": "A", "finish_reason": "tired"}},
+        {"kind": "generate", "response": "A"},
+        {"kind": "generate"},
+        {"kind": "loglikelihood", "response": {"total_logprob": -1.0, "token_count": 1,
+                                               "continuation_chars": 2}},
+        {"kind": "chat", "response": {"text": "A"}},
+        {"response": {"text": "A"}},
+    ], ids=["no_text", "bad_finish_reason", "not_an_object", "no_response", "other_kind",
+            "unknown_kind", "no_kind"])
+    def test_cache_entry_that_does_not_decode_is_fetched_again(self, tmp_path, fixture_dataset_path,
+                                                                fixture_replies, caplog, entry):
+        manifest, items = load_dataset(fixture_dataset_path)
+        cache_dir = tmp_path / "cache"
+        config = RunConfig(cache_dir=str(cache_dir))
+        cold = run_generation_eval(items, StubBackend(scripted=fixture_replies), config, manifest)
+        key = next(r for r in cold if r.item_id == "q03").prompt_digest
+        with open(cache_dir / "responses.jsonl", "ab") as f:
+            f.write(b"\n" + canonical_json({"created_at": "x", "key": key, **entry}).encode("utf-8"))
+
+        for calls in (1, 0):  # fetched again once, and then the fresh entry wins
+            stub = StubBackend(scripted=fixture_replies)
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="omnieval.runner"):
+                rerun = run_generation_eval(items, stub, config, manifest)
+            assert stub.generate_calls == calls
+            assert records_to_jsonl(rerun) == records_to_jsonl(cold)
+            assert sum("does not decode" in m for m in caplog.messages) == calls
 
     def test_limit(self):
         items = [make_item(i) for i in range(5)]
@@ -458,7 +488,7 @@ class TestGenerationEval:
                 worker.join(timeout=10)
                 assert not worker.is_alive()
         assert stub.generate_calls < 20
-        # the items the workers held ended after the cache closed, and reopened no shard
+        # the items the workers held ended after the cache closed, and reopened no cache file
         assert len(os.listdir("/proc/self/fd")) == before
 
     def test_model_extract_fallback(self):
@@ -569,8 +599,8 @@ class TestPplEval:
         assert records_to_jsonl(cold) == records_to_jsonl(warm)
 
 
-# Puts ``count`` entries of over 8 KiB each into one shard of a cache
-# directory shared with another process.
+# Puts ``count`` entries of over 8 KiB each into a cache directory shared
+# with another process.
 _WRITER = """
 import sys
 from omnieval.backends.base import FinishReason, ModelResponse
@@ -578,9 +608,20 @@ from omnieval.runner import ResponseCache
 cache_dir, tag, count = sys.argv[1], sys.argv[2], int(sys.argv[3])
 cache = ResponseCache(cache_dir)
 for i in range(count):
-    cache.put(f"aa-{tag}-{i}", "generate", ModelResponse(f"{tag}{i} " * 1500, FinishReason.STOP))
+    cache.put(f"{tag}-{i}", "generate", ModelResponse(f"{tag}{i} " * 1500, FinishReason.STOP))
 cache.close()
 """
+
+
+def split_into_old_shards(cache_dir: Path, framing: str):
+    """Rewrite a cache directory in the layout of earlier versions: one shard
+    per first two key characters, each entry framed as ``\\n`` + JSON
+    ("leading") or as JSON + ``\\n`` ("trailing")."""
+    path = cache_dir / "responses.jsonl"
+    for line in path.read_bytes().split(b"\n")[1:]:
+        with open(cache_dir / f"{json.loads(line)['key'][:2]}.jsonl", "ab") as shard:
+            shard.write(b"\n" + line if framing == "leading" else line + b"\n")
+    path.unlink()
 
 
 class TestResponseCache:
@@ -593,7 +634,8 @@ class TestResponseCache:
         ]
         assert [w.wait(timeout=60) for w in writers] == [0, 0]
 
-        data = (tmp_path / "aa.jsonl").read_bytes()
+        assert os.listdir(tmp_path) == ["responses.jsonl"]
+        data = (tmp_path / "responses.jsonl").read_bytes()
         assert data.startswith(b"\n")
         assert data.count(b"\n") == 2 * count  # no blank line between entries
         lines = [line for line in data.split(b"\n") if line]
@@ -602,49 +644,60 @@ class TestResponseCache:
         cache = ResponseCache(tmp_path)
         for tag in ("x", "y"):
             for i in range(count):
-                assert cache.get(f"aa-{tag}-{i}").text == f"{tag}{i} " * 1500
+                assert cache.get(f"{tag}-{i}", "generate").text == f"{tag}{i} " * 1500
 
     def test_line_torn_inside_a_character_is_skipped(self, tmp_path, caplog):
         cache = ResponseCache(tmp_path)
-        cache.put("aa-whole", "generate", ModelResponse("caf\u00e9", FinishReason.STOP))
-        cache.put("aa-torn", "generate", ModelResponse("caf\u00e9" * 50, FinishReason.STOP))
+        cache.put("whole", "generate", ModelResponse("caf\u00e9", FinishReason.STOP))
+        cache.put("torn", "generate", ModelResponse("caf\u00e9" * 50, FinishReason.STOP))
         cache.close()
-        shard = tmp_path / "aa.jsonl"
-        data = shard.read_bytes()
+        path = tmp_path / "responses.jsonl"
+        data = path.read_bytes()
         cut = data.rindex("\u00e9".encode("utf-8")) + 1  # between the two bytes of one character
-        shard.write_bytes(data[:cut])
+        path.write_bytes(data[:cut])
 
-        cache = ResponseCache(tmp_path)
         with caplog.at_level("WARNING", logger="omnieval.runner"):
-            assert cache.get("aa-whole").text == "caf\u00e9"
-            assert cache.get("aa-torn") is None
+            cache = ResponseCache(tmp_path)
+            assert cache.get("whole", "generate").text == "caf\u00e9"
+            assert cache.get("torn", "generate") is None
         assert sum("skipped 1 unreadable line" in m for m in caplog.messages) == 1
-        cache.put("aa-torn", "generate", ModelResponse("again", FinishReason.STOP))
+        cache.put("torn", "generate", ModelResponse("again", FinishReason.STOP))
         cache.close()
-        assert ResponseCache(tmp_path).get("aa-torn").text == "again"
+        assert ResponseCache(tmp_path).get("torn", "generate").text == "again"
+
+    def test_line_that_holds_no_entry_is_skipped(self, tmp_path, caplog):
+        whole = canonical_json({"key": "whole", "kind": "generate", "created_at": "x",
+                                "response": ModelResponse("kept", FinishReason.STOP).to_dict()})
+        (tmp_path / "responses.jsonl").write_text(
+            "\n".join(["", '{"key":["a list"]}', '{"key":7}', '{"kind":"generate"}', "[1,2]", '"text"', whole]))
+        with caplog.at_level("WARNING", logger="omnieval.runner"):
+            cache = ResponseCache(tmp_path)
+        assert sum("skipped 5 unreadable line" in m for m in caplog.messages) == 1
+        assert cache.get("whole", "generate").text == "kept"
+        cache.close()
 
     def test_entry_in_flight_from_another_process_keeps_its_own_line(self, tmp_path, caplog):
         # the bytes of another process's put, taken from a cache of its own
         other = ResponseCache(tmp_path / "other")
-        other.put("aa-other", "generate", ModelResponse("theirs", FinishReason.STOP))
+        other.put("other", "generate", ModelResponse("theirs", FinishReason.STOP))
         other.close()
-        entry = (tmp_path / "other" / "aa.jsonl").read_bytes()
-        shard = tmp_path / "shared" / "aa.jsonl"
-        shard.parent.mkdir()
-        shard.write_bytes(entry[: len(entry) // 2])
+        entry = (tmp_path / "other" / "responses.jsonl").read_bytes()
+        path = tmp_path / "shared" / "responses.jsonl"
+        path.parent.mkdir()
+        path.write_bytes(entry[: len(entry) // 2])
 
-        cache = ResponseCache(tmp_path / "shared")
         with caplog.at_level("WARNING", logger="omnieval.runner"):
-            assert cache.get("aa-other") is None  # loaded mid-append
-        with open(shard, "ab") as f:
+            cache = ResponseCache(tmp_path / "shared")
+            assert cache.get("other", "generate") is None  # loaded mid-append
+        with open(path, "ab") as f:
             f.write(entry[len(entry) // 2:])
-        cache.put("aa-mine", "generate", ModelResponse("mine", FinishReason.STOP))
+        cache.put("mine", "generate", ModelResponse("mine", FinishReason.STOP))
         cache.close()
 
-        assert b"\n\n" not in shard.read_bytes()
+        assert b"\n\n" not in path.read_bytes()
         reread = ResponseCache(tmp_path / "shared")
-        assert reread.get("aa-other").text == "theirs"
-        assert reread.get("aa-mine").text == "mine"
+        assert reread.get("other", "generate").text == "theirs"
+        assert reread.get("mine", "generate").text == "mine"
 
     def test_shard_in_the_old_format_resumes(self, tmp_path, caplog):
         # each entry ends in \n, as earlier versions wrote them, and the last one is torn
@@ -655,80 +708,148 @@ class TestResponseCache:
         ]
         shard = tmp_path / "aa.jsonl"
         shard.write_bytes("".join(entries).encode("utf-8")[:-20])
+        old = shard.read_bytes()
 
         cache = ResponseCache(tmp_path)
         with caplog.at_level("WARNING", logger="omnieval.runner"):
-            assert [cache.get(f"aa-{i}") is not None for i in range(3)] == [True, True, False]
+            assert [cache.get(f"aa-{i}", "generate") is not None for i in range(3)] == [True, True, False]
         cache.put("aa-2", "generate", ModelResponse("again", FinishReason.STOP))
         cache.close()
+        assert shard.read_bytes() == old  # read, never written
 
         reread = ResponseCache(tmp_path)
-        assert [reread.get(f"aa-{i}").text for i in range(3)] == ["reply 0", "reply 1", "again"]
+        assert [reread.get(f"aa-{i}", "generate").text for i in range(3)] == ["reply 0", "reply 1", "again"]
 
-    def test_threads_first_touch_a_shard_while_another_puts(self, tmp_path, caplog):
-        old = [f"aa-old-{i}" for i in range(300)]
+    @pytest.mark.parametrize("framing", ["leading", "trailing"])
+    @pytest.mark.parametrize("mode", ["generate", "ppl"])
+    def test_directory_of_old_shards_stays_warm(self, tmp_path, fixture_dataset_path, fixture_replies,
+                                                framing, mode):
+        manifest, items = load_dataset(fixture_dataset_path)
+        cache_dir = tmp_path / "cache"
+        config = RunConfig(mode=mode, cache_dir=str(cache_dir), limit=5 if mode == "ppl" else None)
+        run = run_ppl_eval if mode == "ppl" else run_generation_eval
+        cold = run(items, StubBackend(scripted=fixture_replies), config, manifest)
+        split_into_old_shards(cache_dir, framing)
+        shards = {path.name: path.read_bytes() for path in cache_dir.iterdir()}
+        assert len(shards) > 1
+
+        stub = StubBackend(scripted=fixture_replies)
+        warm = run(items, stub, config, manifest)
+        assert stub.generate_calls == stub.loglikelihood_calls == 0
+        assert records_to_jsonl(warm) == records_to_jsonl(cold)
+        assert {path.name: path.read_bytes() for path in cache_dir.iterdir()} == shards
+
+    @pytest.mark.parametrize("mode", ["generate", "ppl"])
+    def test_cold_eval_leaves_one_cache_file(self, tmp_path, mode):
+        items = [choice_item(i, ["Paris", "Rome"], "B") for i in range(40)]
+        config = RunConfig(mode=mode, cache_dir=str(tmp_path / "cache"))
+        run = run_ppl_eval if mode == "ppl" else run_generation_eval
+        records = run(items, StubBackend(default_reply="B"), config)
+        assert all(r.error is None for r in records)
+        assert os.listdir(tmp_path / "cache") == ["responses.jsonl"]
+
+    def test_warm_eval_opens_the_cache_file_once(self, tmp_path, monkeypatch, fixture_dataset_path,
+                                                 fixture_replies):
+        manifest, items = load_dataset(fixture_dataset_path)
+        cache_dir = tmp_path / "cache"
+        config = RunConfig(cache_dir=str(cache_dir))
+        cold = run_generation_eval(items, StubBackend(scripted=fixture_replies), config, manifest)
+        opened = []
+
+        def spy(real):
+            def open_(file, *args, **kwargs):
+                if isinstance(file, (str, os.PathLike)) and cache_dir in Path(file).parents:
+                    opened.append(Path(file).name)
+                return real(file, *args, **kwargs)
+            return open_
+
+        monkeypatch.setattr("builtins.open", spy(open))
+        monkeypatch.setattr(os, "open", spy(os.open))
+        stub = StubBackend(scripted=fixture_replies)
+        warm = run_generation_eval(items, stub, config, manifest)
+        monkeypatch.undo()
+        assert stub.generate_calls == 0
+        assert records_to_jsonl(warm) == records_to_jsonl(cold)
+        assert opened == ["responses.jsonl"]
+
+    def test_threads_read_while_another_puts(self, tmp_path, caplog):
+        old = [f"old-{i}" for i in range(300)]
+        cache = ResponseCache(tmp_path)
+        for key in old:
+            cache.put(key, "generate", ModelResponse(key, FinishReason.STOP))
+        cache.close()
+        with open(tmp_path / "responses.jsonl", "ab") as f:
+            f.write(b'\n{"key":"torn","kind":"gen')  # a kill mid-append
+
+        with caplog.at_level("WARNING", logger="omnieval.runner"):
+            cache = ResponseCache(tmp_path)
+        # the file is read once, when the cache opens, and reports its torn line then
+        assert sum("skipped 1 unreadable line" in m for m in caplog.messages) == 1
+        readers = 6
+        new = [f"new-{i}" for i in range(50)]
+        barrier = threading.Barrier(readers + 1)
+        hits = [0] * readers
+
+        def read(i):
+            barrier.wait(timeout=10)
+            hits[i] = sum(cache.get(key, "generate") is not None for key in old)
+
+        def write():
+            barrier.wait(timeout=10)
+            for key in new:
+                cache.put(key, "generate", ModelResponse(key, FinishReason.STOP))
+
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(readers)]
+        threads.append(threading.Thread(target=write))
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for round_ in range(10):
-                cache_dir = tmp_path / str(round_)
-                cache = ResponseCache(cache_dir)
-                for key in old:
-                    cache.put(key, "generate", ModelResponse(key, FinishReason.STOP))
-                cache.close()
-                with open(cache_dir / "aa.jsonl", "ab") as shard:
-                    shard.write(b'\n{"key":"aa-torn","kind":"gen')  # a kill mid-append
-
-                cache = ResponseCache(cache_dir)
-                readers = 6
-                new = [f"aa-new-{i}" for i in range(50)]
-                barrier = threading.Barrier(readers + 1)
-                indexes, hits = [None] * readers, [0] * readers
-
-                def read(i):
-                    barrier.wait(timeout=10)
-                    indexes[i] = cache._shard("aa")
-                    hits[i] = sum(cache.get(key) is not None for key in old)
-
-                def write():
-                    barrier.wait(timeout=10)
-                    for key in new:
-                        cache.put(key, "generate", ModelResponse(key, FinishReason.STOP))
-
-                threads = [threading.Thread(target=read, args=(i,)) for i in range(readers)]
-                threads.append(threading.Thread(target=write))
-                with caplog.at_level("WARNING", logger="omnieval.runner"):
-                    caplog.clear()
-                    for thread in threads:
-                        thread.start()
-                    for thread in threads:
-                        thread.join(timeout=30)
-                assert not any(thread.is_alive() for thread in threads)
-                assert hits == [len(old)] * readers
-                assert all(index is cache._shard("aa") for index in indexes)
-                assert all(cache.get(key).text == key for key in old + new)
-                # one thread's index is published, and only it reports the torn line
-                assert sum("skipped 1 unreadable line" in m for m in caplog.messages) == 1
-                cache.close()
-
-                lines = (cache_dir / "aa.jsonl").read_bytes().split(b"\n")
-                assert lines[len(old) + 1] == b'{"key":"aa-torn","kind":"gen'  # the next entry began a new line
-                reread = ResponseCache(cache_dir)
-                assert all(reread.get(key).text == key for key in old + new)
-                assert reread.get("aa-torn") is None
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
         finally:
             sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert hits == [len(old)] * readers
+        assert all(cache.get(key, "generate").text == key for key in old + new)
+        cache.close()
+
+        lines = (tmp_path / "responses.jsonl").read_bytes().split(b"\n")
+        assert lines[len(old) + 1] == b'{"key":"torn","kind":"gen'  # the next entry began a new line
+        reread = ResponseCache(tmp_path)
+        assert all(reread.get(key, "generate").text == key for key in old + new)
+        assert reread.get("torn", "generate") is None
+
+    def test_put_after_close_raises(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        cache.put("before", "generate", ModelResponse("kept", FinishReason.STOP))
+        cache.close()
+        with pytest.raises(ValueError, match="closed"):
+            cache.put("after", "generate", ModelResponse("lost", FinishReason.STOP))
+        reread = ResponseCache(tmp_path)
+        assert reread.get("before", "generate").text == "kept"
+        assert reread.get("after", "generate") is None
+
+    def test_short_write_raises(self, tmp_path, monkeypatch):
+        cache = ResponseCache(tmp_path)
+        monkeypatch.setattr(os, "write", lambda fd, data: len(data) - 1)
+        with pytest.raises(OSError, match="wrote"):
+            cache.put("short", "generate", ModelResponse("reply", FinishReason.STOP))
+        monkeypatch.undo()
+        assert cache.get("short", "generate") is None
+        cache.close()
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     @pytest.mark.parametrize("mode", ["generate", "ppl"])
-    def test_eval_leaves_no_shard_descriptor_open(self, tmp_path, mode):
+    def test_eval_leaves_no_cache_descriptor_open(self, tmp_path, mode):
         items = [choice_item(i, ["Paris", "Rome"], "B") for i in range(20)]
         config = RunConfig(mode=mode, cache_dir=str(tmp_path / "cache"))
         run = run_ppl_eval if mode == "ppl" else run_generation_eval
         before = len(os.listdir("/proc/self/fd"))
         records = run(items, StubBackend(default_reply="B"), config)
         assert all(r.error is None for r in records)
-        assert len(list((tmp_path / "cache").glob("*.jsonl"))) > 1
+        assert (tmp_path / "cache" / "responses.jsonl").stat().st_size > 0  # a descriptor was opened
         assert len(os.listdir("/proc/self/fd")) == before
 
 
