@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from ..errors import ConfigError, config_enum
@@ -16,7 +16,6 @@ from ..prompts import PromptBundle
 class DecodingMode(str, Enum):
     GREEDY = "greedy"
     SAMPLE = "sample"
-    BEAM = "beam"
 
 
 class FinishReason(str, Enum):
@@ -62,22 +61,19 @@ class GenerationOptions:
 class ModelResponse:
     text: str
     finish_reason: FinishReason = FinishReason.STOP
-    token_logprobs: tuple[tuple[str, float], ...] | None = None
     prompt_tokens: int = 0
     completion_tokens: int = 0
     latency_ms: int = 0
 
     def to_dict(self) -> dict:
-        logprobs = [list(t) for t in self.token_logprobs] if self.token_logprobs else None
-        return {**vars(self), "finish_reason": self.finish_reason.value, "token_logprobs": logprobs}
+        return {**vars(self), "finish_reason": self.finish_reason.value}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelResponse":
-        logprobs = data.get("token_logprobs")
+        # entries that earlier versions wrote also hold "token_logprobs": null, which is not read
         return cls(
             text=data["text"],
             finish_reason=FinishReason(data.get("finish_reason", "stop")),
-            token_logprobs=tuple((t, lp) for t, lp in logprobs) if logprobs else None,
             prompt_tokens=data.get("prompt_tokens", 0),
             completion_tokens=data.get("completion_tokens", 0),
             latency_ms=data.get("latency_ms", 0),
@@ -91,12 +87,14 @@ class LoglikelihoodResult:
     continuation_chars: int
 
     def __post_init__(self):
+        # ValueError, not ConfigError: the values come from a reply or a cache entry, which
+        # then fails only its own item, or is a cache miss
         if not math.isfinite(self.total_logprob):
-            raise ConfigError("total_logprob must be finite")
+            raise ValueError("total_logprob must be finite")
         if self.token_count < 1:
-            raise ConfigError("token_count must be >= 1")
+            raise ValueError("token_count must be >= 1")
         if self.continuation_chars < 1:
-            raise ConfigError("continuation_chars must be >= 1")
+            raise ValueError("continuation_chars must be >= 1")
 
     @property
     def per_char_logprob(self) -> float:

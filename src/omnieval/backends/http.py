@@ -42,6 +42,9 @@ from .base import (
 
 _FINISH_REASONS = {"stop": FinishReason.STOP, "length": FinishReason.LENGTH}
 
+# A 429's Retry-After hint above this many seconds is treated as no hint.
+MAX_RETRY_AFTER_S = 300.0
+
 
 def encode_image(path: str) -> str:
     """Read an image file into a base64 data URI. Raises AttachmentError so a
@@ -106,17 +109,9 @@ def parse_chat_response(payload: dict, latency_ms: int = 0) -> ModelResponse:
         raise MalformedReply("chat reply has no text content")
     finish = _FINISH_REASONS.get(choice.get("finish_reason"), FinishReason.ERROR)
     usage = payload.get("usage") or {}
-    logprobs = None
-    lp_content = (choice.get("logprobs") or {}).get("content")
-    if lp_content:
-        try:
-            logprobs = tuple((entry["token"], float(entry["logprob"])) for entry in lp_content)
-        except (KeyError, TypeError) as exc:
-            raise MalformedReply(f"chat reply logprobs malformed: {exc!r}") from exc
     return ModelResponse(
         text=text,
         finish_reason=finish,
-        token_logprobs=logprobs,
         prompt_tokens=int(usage.get("prompt_tokens", 0)),
         completion_tokens=int(usage.get("completion_tokens", 0)),
         latency_ms=latency_ms,
@@ -150,6 +145,8 @@ def parse_completions_logprobs(payload: dict, context_chars: int, continuation: 
         count += 1
     if count == 0:
         raise MalformedReply("no echoed tokens cover the continuation span")
+    if not math.isfinite(total):
+        raise MalformedReply(f"echoed logprobs over the continuation sum to {total}")
     return LoglikelihoodResult(total, count, len(continuation))
 
 
@@ -390,9 +387,8 @@ class HttpBackend(Backend):
                 retry_after_s = float(headers.get("Retry-After") or headers.get("retry-after"))
             except (TypeError, ValueError):
                 retry_after_s = math.nan
-            # no hint, or one that time.sleep cannot take (inf, 1e10): back off as usual; sleep
-            # adds it to the monotonic clock, so half of TIMEOUT_MAX leaves room for any uptime
-            retry_after_s = retry_after_s if retry_after_s <= threading.TIMEOUT_MAX / 2 else None
+            # no hint, or one past the bound (nan, inf, a year): back off as usual
+            retry_after_s = retry_after_s if retry_after_s <= MAX_RETRY_AFTER_S else None
             raise RateLimited(f"{url}: rate limited (429)", retry_after_s=retry_after_s)
         if 400 <= status < 500:
             raise BackendRefused(f"{url}: backend refused with status {status}: {text[:200]}")
@@ -408,8 +404,6 @@ class HttpBackend(Backend):
             raise UnsupportedCapability(f"{self.model_name} does not support generation")
         if any(turn.attachments for turn in bundle.turns) and not self._caps.supports_images:
             raise UnsupportedCapability(f"{self.model_name} does not accept image attachments")
-        if options.effective_mode is DecodingMode.BEAM:
-            raise UnsupportedCapability("beam decoding is not expressible on this wire protocol")
         body = build_chat_request(self.model_name, bundle, options)
         start = time.monotonic()
         payload = self._post("/v1/chat/completions", body)

@@ -29,8 +29,6 @@ from .base import (
 
 
 def _as_ll_result(value, continuation: str) -> LoglikelihoodResult:
-    if isinstance(value, LoglikelihoodResult):
-        return value
     if isinstance(value, dict):
         return LoglikelihoodResult(
             value["total_logprob"],
@@ -55,7 +53,6 @@ class StubBackend(Backend):
         supports_loglikelihood: bool = True,
         supports_images: bool = True,
         failures: list[Exception] | None = None,
-        delay_s: float | None = None,
         delay_fn=None,
     ):
         for name, table in (("scripted", scripted), ("logprob_table", logprob_table)):
@@ -69,7 +66,7 @@ class StubBackend(Backend):
         for key, entry in (logprob_table or {}).items():
             try:
                 self.logprob_table[key] = _as_ll_result(entry, key[1] if isinstance(key, tuple) else key)
-            except (KeyError, TypeError, ValueError, ConfigError):
+            except (KeyError, TypeError, ValueError):
                 raise ConfigError(f"logprob_table[{key!r}] is not a loglikelihood entry: {entry!r}") from None
         if default_reply is not None and not isinstance(default_reply, str):
             raise ConfigError(f"default_reply must be a string or null, got {default_reply!r}")
@@ -82,7 +79,6 @@ class StubBackend(Backend):
             supports_generation, supports_loglikelihood, supports_images, model_name
         )
         self._failures = list(failures or [])
-        self._delay_s = delay_s
         self._delay_fn = delay_fn
         self._lock = threading.Lock()
         self.generate_calls = 0
@@ -106,7 +102,7 @@ class StubBackend(Backend):
             with self._lock:
                 self._inflight -= 1
             raise failure
-        delay = self._delay_fn() if self._delay_fn else self._delay_s
+        delay = self._delay_fn and self._delay_fn()
         if delay:
             time.sleep(delay)
 

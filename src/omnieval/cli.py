@@ -109,9 +109,9 @@ def build_run_config(raw: dict) -> RunConfig:
     return _build(RunConfig, raw, "config", **built)
 
 
-def _dataset_defaults(config: RunConfig, name: str = "") -> DatasetManifest:
+def _dataset_defaults(config: RunConfig) -> DatasetManifest:
     return DatasetManifest(
-        name=name,
+        name="",
         default_question_type=config.default_question_type,
         metrics=config.default_metrics,
     )

@@ -10,7 +10,7 @@ record keys survive a round trip untouched.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import EmptyDataset, ParseError, SchemaError
@@ -96,17 +96,14 @@ def load_dataset(path, defaults: DatasetManifest | None = None) -> tuple[Dataset
         raise ParseError(f"{path}: not valid UTF-8 JSON: {exc}") from exc
 
     if isinstance(payload, list):
-        records = payload
-        base = defaults or DatasetManifest(name=path.stem)
-        manifest = replace(base, name=base.name or path.stem)
+        meta, records = {}, payload
     elif isinstance(payload, dict):
-        meta = payload.get("meta", {})
-        if not isinstance(meta, dict) or not isinstance(payload.get("data"), list):
+        meta, records = payload.get("meta", {}), payload.get("data")
+        if not isinstance(meta, dict) or not isinstance(records, list):
             raise ParseError(f"{path}: object form requires a 'meta' object and a 'data' array")
-        records = payload["data"]
-        manifest = _manifest_from_meta(meta, defaults, fallback_name=path.stem)
     else:
         raise ParseError(f"{path}: top level must be an array or an object")
+    manifest = _manifest_from_meta(meta, defaults, fallback_name=path.stem)
 
     if not records:
         raise EmptyDataset(f"{path}: dataset contains no records")

@@ -89,6 +89,11 @@ class TestStubBackend:
         assert result.token_count == 2
         assert result.continuation_chars == 1
 
+    @pytest.mark.parametrize("entry", [[-1.0, 0], {"total_logprob": float("nan")}], ids=["no_tokens", "nan"])
+    def test_table_entry_that_is_no_loglikelihood_is_a_config_error(self, entry):
+        with pytest.raises(ConfigError, match=r"^logprob_table\[' A'\] is not a loglikelihood entry: "):
+            StubBackend(logprob_table={" A": entry})
+
     def test_empty_continuation(self):
         with pytest.raises(ValueError):
             StubBackend().loglikelihood("Q", "")
@@ -201,6 +206,14 @@ class TestReplyParsing:
         with pytest.raises(MalformedReply):
             parse_chat_response(payload)
 
+    @pytest.mark.parametrize("logprobs", [{"content": [{"tok": "x"}]}, "abc"], ids=["entry_without_token", "string"])
+    def test_unrequested_chat_logprobs_are_not_read(self, logprobs):
+        # build_chat_request asks for no logprobs, so whatever a server sends there is ignored
+        choice = {"message": {"content": "hi"}, "finish_reason": "stop"}
+        response = parse_chat_response({"choices": [{**choice, "logprobs": logprobs}]})
+        assert response == parse_chat_response({"choices": [choice]})
+        assert response.text == "hi"
+
     def test_span_summing(self):
         # context "Hello" (5 chars), continuation " world"
         payload = _echo_payload(
@@ -238,6 +251,12 @@ class TestReplyParsing:
         with pytest.raises(MalformedReply):
             parse_completions_logprobs(payload, 2, "xyz")
 
+    @pytest.mark.parametrize("logprob", [float("-inf"), float("nan"), "-Infinity"])
+    def test_non_finite_continuation_sum_is_malformed(self, logprob):
+        payload = _echo_payload(tokens=["a", "b"], logprobs=[None, logprob], offsets=[0, 1])
+        with pytest.raises(MalformedReply, match="sum to"):
+            parse_completions_logprobs(payload, 1, "b")
+
 
 class FakeTransport:
     def __init__(self, status=200, headers=None, body=None):
@@ -256,12 +275,13 @@ class TestHttpBackendErrors:
         return HttpBackend("http://test", "m", transport=transport)
 
     def test_rate_limited_carries_retry_after(self):
-        transport = FakeTransport(status=429, headers={"Retry-After": "7"})
-        with pytest.raises(RateLimited) as err:
-            self._backend(transport).generate(PING, GenerationOptions())
-        assert err.value.retry_after_s == 7.0
+        for hint in ("7", "300"):  # 300 s is the largest hint honoured
+            transport = FakeTransport(status=429, headers={"Retry-After": hint})
+            with pytest.raises(RateLimited) as err:
+                self._backend(transport).generate(PING, GenerationOptions())
+            assert err.value.retry_after_s == float(hint)
 
-    @pytest.mark.parametrize("hint", ["inf", "1e400", "nan", "soon", "1e10", "9223372035"])
+    @pytest.mark.parametrize("hint", ["inf", "1e400", "nan", "soon", "1e10", "9223372035", "1e9", "301"])
     def test_retry_after_that_is_no_number_of_seconds_is_ignored(self, hint):
         limited = (429, {"Retry-After": hint}, "")
         ok = (200, {}, json.dumps({"choices": [{"message": {"content": "ok"}, "finish_reason": "stop"}]}))
@@ -270,7 +290,8 @@ class TestHttpBackendErrors:
         with pytest.raises(RateLimited) as err:
             backend.generate(PING, GenerationOptions())
         assert err.value.retry_after_s is None
-        # time.sleep(inf) or time.sleep(1e10) would raise OverflowError instead of backing off
+        # time.sleep(inf) or time.sleep(1e10) would raise OverflowError instead of backing off,
+        # and time.sleep(1e9) would wait for 31 years
         assert with_retries(lambda: backend.generate(PING, GenerationOptions()), backoff_base_ms=1).text == "ok"
 
     def test_client_error_is_refused(self):
@@ -289,10 +310,9 @@ class TestHttpBackendErrors:
             self._backend(transport).generate(PING, GenerationOptions())
 
     def test_beam_mode_unsupported(self):
-        backend = self._backend(FakeTransport())
-        options = GenerationOptions(temperature=0.5, decoding_mode=DecodingMode.BEAM)
-        with pytest.raises(UnsupportedCapability):
-            backend.generate(PING, options)
+        assert [m.value for m in DecodingMode] == ["greedy", "sample"]
+        with pytest.raises(ConfigError, match="^decoding_mode must be one of greedy, sample, got 'beam'$"):
+            GenerationOptions(temperature=0.5, decoding_mode="beam")
 
     def test_images_require_capability(self):
         backend = self._backend(FakeTransport())
@@ -395,10 +415,13 @@ class TestHttpIntegration:
 class TestSerializationRoundTrip:
     def test_model_response(self):
         response = ModelResponse(
-            text="x", finish_reason=FinishReason.LENGTH,
-            token_logprobs=(("x", -0.5),), prompt_tokens=3, completion_tokens=1, latency_ms=9,
+            text="x", finish_reason=FinishReason.LENGTH, prompt_tokens=3, completion_tokens=1, latency_ms=9,
         )
         assert ModelResponse.from_dict(response.to_dict()) == response
+        assert "token_logprobs" not in response.to_dict()
+        # cache entries that earlier versions wrote carry the key, with null or a list
+        for logprobs in (None, [["x", -0.5]]):
+            assert ModelResponse.from_dict({**response.to_dict(), "token_logprobs": logprobs}) == response
 
     def test_loglikelihood_result(self):
         result = LoglikelihoodResult(-2.5, 3, 11)

@@ -89,6 +89,7 @@ class TestEval:
         "rule_without_name": ({"extraction_rules": [{"pattern": "(x)"}]}, "name"),
         "backend_not_an_object": ({"backend": "stub"}, "backend"),
         "bad_decoding_mode": ({"generation": {"decoding_mode": "nope"}}, "decoding_mode"),
+        "bad_decoding_mode_beam": ({"generation": {"decoding_mode": "beam"}}, "decoding_mode"),
         "bad_default_question_type": ({"default_question_type": "nope"}, "default_question_type"),
         "bad_applicable_type": (
             {"extraction_rules": [{"name": "r", "pattern": "(x)", "applicable_types": ["nope"]}]},

@@ -371,6 +371,31 @@ class TestGenerationEval:
             assert records_to_jsonl(rerun) == records_to_jsonl(cold)
             assert sum("does not decode" in m for m in caplog.messages) == calls
 
+    @pytest.mark.parametrize("response", [
+        {"total_logprob": -1.0, "token_count": 0, "continuation_chars": 2},
+        {"total_logprob": float("nan"), "token_count": 1, "continuation_chars": 2},
+    ], ids=["no_tokens", "nan"])
+    def test_loglikelihood_entry_that_fails_its_checks_is_fetched_again(self, tmp_path, fixture_dataset_path,
+                                                                       fixture_replies, caplog, response):
+        manifest, items = load_dataset(fixture_dataset_path)
+        cache_dir = tmp_path / "cache"
+        config = RunConfig(mode="ppl", cache_dir=str(cache_dir), limit=5)
+        cold = run_ppl_eval(items, StubBackend(scripted=fixture_replies), config, manifest)
+        path = cache_dir / "responses.jsonl"
+        key = json.loads(path.read_bytes().split(b"\n")[1])["key"]
+        with open(path, "ab") as f:
+            entry = {"created_at": "x", "key": key, "kind": "loglikelihood", "response": response}
+            f.write(b"\n" + canonical_json(entry).encode("utf-8"))
+
+        for calls in (1, 0):  # fetched again once, and then the fresh entry wins
+            stub = StubBackend(scripted=fixture_replies)
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="omnieval.runner"):
+                rerun = run_ppl_eval(items, stub, config, manifest)
+            assert stub.loglikelihood_calls == calls
+            assert records_to_jsonl(rerun) == records_to_jsonl(cold)
+            assert sum("does not decode" in m for m in caplog.messages) == calls
+
     def test_limit(self):
         items = [make_item(i) for i in range(5)]
         records = run_generation_eval(items, StubBackend(), RunConfig(limit=1))
@@ -427,7 +452,7 @@ class TestGenerationEval:
 
     def test_concurrency_high_water_mark(self):
         items = [make_item(i) for i in range(40)]
-        stub = StubBackend(delay_s=0.005)
+        stub = StubBackend(delay_fn=lambda: 0.005)
         records = run_generation_eval(items, stub, RunConfig(concurrency_limit=4))
         assert len(records) == 40
         assert stub.max_inflight <= 4
