@@ -103,19 +103,29 @@ def parse_chat_response(payload: dict, latency_ms: int = 0) -> ModelResponse:
         choice = payload["choices"][0]
         message = choice["message"]
         text = message.get("content")
-    except (KeyError, IndexError, TypeError) as exc:
+        reason = choice.get("finish_reason")
+    except (KeyError, IndexError, TypeError, AttributeError) as exc:
         raise MalformedReply(f"chat reply missing choices/message: {exc!r}") from exc
     if not isinstance(text, str):
         raise MalformedReply("chat reply has no text content")
-    finish = _FINISH_REASONS.get(choice.get("finish_reason"), FinishReason.ERROR)
+    finish = _FINISH_REASONS.get(reason, FinishReason.ERROR) if isinstance(reason, str) else FinishReason.ERROR
     usage = payload.get("usage") or {}
+    if not isinstance(usage, dict):
+        raise MalformedReply(f"chat reply usage is {usage!r}, not an object")
     return ModelResponse(
         text=text,
         finish_reason=finish,
-        prompt_tokens=int(usage.get("prompt_tokens", 0)),
-        completion_tokens=int(usage.get("completion_tokens", 0)),
+        prompt_tokens=_token_count(usage, "prompt_tokens"),
+        completion_tokens=_token_count(usage, "completion_tokens"),
         latency_ms=latency_ms,
     )
+
+
+def _token_count(usage: dict, field: str) -> int:
+    value = usage.get(field, 0)
+    if type(value) is not int:
+        raise MalformedReply(f"chat reply usage.{field} is {value!r}, not an integer")
+    return value
 
 
 def parse_completions_logprobs(payload: dict, context_chars: int, continuation: str) -> LoglikelihoodResult:
@@ -131,18 +141,29 @@ def parse_completions_logprobs(payload: dict, context_chars: int, continuation: 
         tokens = lp["tokens"]
         token_logprobs = lp["token_logprobs"]
         offsets = lp["text_offset"]
+        same_length = len(tokens) == len(token_logprobs) == len(offsets)
     except (KeyError, IndexError, TypeError) as exc:
         raise MalformedReply(f"completions reply missing echoed logprobs: {exc!r}") from exc
-    if not (len(tokens) == len(token_logprobs) == len(offsets)):
+    if not same_length:
         raise MalformedReply("completions reply logprob arrays disagree in length")
 
     total = 0.0
     count = 0
-    for token, logprob, offset in zip(tokens, token_logprobs, offsets):
-        if offset + len(token) <= context_chars:
-            continue
-        total += float(logprob) if logprob is not None else 0.0
-        count += 1
+    try:
+        for token, logprob, offset in zip(tokens, token_logprobs, offsets):
+            if offset + len(token) <= context_chars:
+                continue
+            total += float(logprob) if logprob is not None else 0.0
+            count += 1
+    except (TypeError, ValueError) as exc:
+        # the loop's names still hold the values that failed
+        if not isinstance(token, str):
+            field, value = "tokens", token
+        elif not isinstance(offset, (int, float)):
+            field, value = "text_offset", offset
+        else:
+            field, value = "token_logprobs", logprob
+        raise MalformedReply(f"completions reply logprobs.{field} holds {value!r}: {exc}") from exc
     if count == 0:
         raise MalformedReply("no echoed tokens cover the continuation span")
     if not math.isfinite(total):

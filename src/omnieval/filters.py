@@ -38,7 +38,6 @@ _YES_TOKENS = {"yes", "true", "correct"}
 _NO_TOKENS = {"no", "false", "incorrect"}
 _NEGATORS = {"not", "never"}
 _ARTICLE_RE = re.compile(r"^(?:a|an|the)\s+")
-_WS_RE = re.compile(r"\s+")
 
 
 def normalize_text(s: str) -> str:
@@ -48,19 +47,26 @@ def normalize_text(s: str) -> str:
     punctuation stripped, internal whitespace collapsed, leading English
     articles dropped. Applied to a fixpoint, so the function is idempotent.
     """
-    prev = None
-    for _ in range(16):
+    s = _normalize_once(s)
+    # NFKC and lowercasing change nothing after the first pass, so every later
+    # pass that changes the text makes it shorter
+    for _ in range(len(s)):
+        prev, s = s, _normalize_once(s)
         if s == prev:
             break
-        prev = s
-        s = unicodedata.normalize("NFKC", s).lower()
-        s = _strip_edge_punct(s)
-        s = _WS_RE.sub(" ", s).strip()
-        s = _ARTICLE_RE.sub("", s)
     return s
 
 
+def _normalize_once(s: str) -> str:
+    if not s.isascii():
+        s = unicodedata.normalize("NFKC", s)  # which leaves ASCII unchanged
+    s = " ".join(_strip_edge_punct(s.lower()).split())
+    return _ARTICLE_RE.sub("", s)
+
+
 def _strip_edge_punct(s: str) -> str:
+    if s.isascii():
+        return s.strip(_ASCII_JUNK)
     start, end = 0, len(s)
     while start < end and _is_junk(s[start]):
         start += 1
@@ -71,6 +77,9 @@ def _strip_edge_punct(s: str) -> str:
 
 def _is_junk(ch: str) -> bool:
     return ch.isspace() or unicodedata.category(ch)[0] in ("P", "S")
+
+
+_ASCII_JUNK = "".join(filter(_is_junk, map(chr, range(128))))
 
 
 @dataclass(frozen=True)
@@ -138,36 +147,52 @@ _LETTER_SET = r"\(?\**([A-Za-z]\b(?:\)?\s*(?:,|and|or|&)\s*\(?[A-Za-z]\b)*|[A-Z]
 _TEXT_SPAN = r"(.+?)(?:\.(?=\s|$)|\n|$)"
 # Captures one word, for yes/no style markers.
 _WORD = r"[\"'(]*\**([A-Za-z]+)\**"
+# Fallback scans: a standalone capital letter, and the letter runs of a span.
+_CAPITAL_RE = re.compile(r"\b([A-Z])\b")
+_LETTER_RUN_RE = re.compile(r"[A-Za-z]+")
 
 _ANSWER_IS = r"(?i:\banswers?\s+(?:is|are)\s*:?\s*)"
 _ANSWER_COLON = r"(?i:\banswers?\s*:\s*)"
 _CORRECT_IS = r"(?i:\b(?:correct|right|final)\s+(?:answer|option|choice)s?\s*(?:is|are)?\s*:?\s*)"
 
-_CHOICE_TYPES = frozenset({QuestionType.SINGLE_CHOICE, QuestionType.MULTIPLE_CHOICE})
+# The lowercase words that the matches of a built-in rule start with (see _scan_start).
+_ANSWER = ("answer",)
+_CORRECT = ("correct", "right", "final")
+_BOXED = ("\\boxed", "boxed")
+_PAREN = ("(",)
+
+_SC = frozenset({QuestionType.SINGLE_CHOICE})
+_MC = frozenset({QuestionType.MULTIPLE_CHOICE})
+_CHOICE_TYPES = _SC | _MC
 _TEXT_TYPES = frozenset({QuestionType.FILL_BLANK, QuestionType.FREE_OPEN})
 _YN = frozenset({QuestionType.YES_NO})
 
-BUILTIN_RULES: tuple[ExtractionRule, ...] = (
+_BUILTINS: tuple[tuple[ExtractionRule, tuple[str, ...]], ...] = (
     # single-choice letters
-    ExtractionRule("answer_is_letter", _ANSWER_IS + _LETTER, 1, frozenset({QuestionType.SINGLE_CHOICE})),
-    ExtractionRule("answer_colon_letter", _ANSWER_COLON + _LETTER, 1, frozenset({QuestionType.SINGLE_CHOICE})),
-    ExtractionRule("correct_option_letter", _CORRECT_IS + _LETTER, 1, frozenset({QuestionType.SINGLE_CHOICE})),
+    (ExtractionRule("answer_is_letter", _ANSWER_IS + _LETTER, 1, _SC), _ANSWER),
+    (ExtractionRule("answer_colon_letter", _ANSWER_COLON + _LETTER, 1, _SC), _ANSWER),
+    (ExtractionRule("correct_option_letter", _CORRECT_IS + _LETTER, 1, _SC), _CORRECT),
     # multiple-choice letter sets
-    ExtractionRule("answer_is_letters", _ANSWER_IS + _LETTER_SET, 1, frozenset({QuestionType.MULTIPLE_CHOICE})),
-    ExtractionRule("answer_colon_letters", _ANSWER_COLON + _LETTER_SET, 1, frozenset({QuestionType.MULTIPLE_CHOICE})),
-    ExtractionRule("correct_option_letters", _CORRECT_IS + _LETTER_SET, 1, frozenset({QuestionType.MULTIPLE_CHOICE})),
+    (ExtractionRule("answer_is_letters", _ANSWER_IS + _LETTER_SET, 1, _MC), _ANSWER),
+    (ExtractionRule("answer_colon_letters", _ANSWER_COLON + _LETTER_SET, 1, _MC), _ANSWER),
+    (ExtractionRule("correct_option_letters", _CORRECT_IS + _LETTER_SET, 1, _MC), _CORRECT),
     # shared letter markers
-    ExtractionRule("paren_line_start", r"(?m:^\s*\(([A-Za-z])\))", 1, _CHOICE_TYPES),
-    ExtractionRule("boxed_letters", r"(?i:\\?boxed)\{([^{}]+)\}", 1, _CHOICE_TYPES),
+    (ExtractionRule("paren_line_start", r"(?m:^\s*\(([A-Za-z])\))", 1, _CHOICE_TYPES), _PAREN),
+    (ExtractionRule("boxed_letters", r"(?i:\\?boxed)\{([^{}]+)\}", 1, _CHOICE_TYPES), _BOXED),
     # yes/no markers
-    ExtractionRule("answer_is_token", _ANSWER_IS + _WORD, 1, _YN),
-    ExtractionRule("answer_colon_token", _ANSWER_COLON + _WORD, 1, _YN),
-    ExtractionRule("correct_answer_token", _CORRECT_IS + _WORD, 1, _YN),
+    (ExtractionRule("answer_is_token", _ANSWER_IS + _WORD, 1, _YN), _ANSWER),
+    (ExtractionRule("answer_colon_token", _ANSWER_COLON + _WORD, 1, _YN), _ANSWER),
+    (ExtractionRule("correct_answer_token", _CORRECT_IS + _WORD, 1, _YN), _CORRECT),
     # free-text markers
-    ExtractionRule("boxed_text", r"(?i:\\?boxed)\{([^{}]+)\}", 1, _TEXT_TYPES),
-    ExtractionRule("answer_is_text", _ANSWER_IS + _TEXT_SPAN, 1, _TEXT_TYPES),
-    ExtractionRule("answer_colon_text", _ANSWER_COLON + _TEXT_SPAN, 1, _TEXT_TYPES),
+    (ExtractionRule("boxed_text", r"(?i:\\?boxed)\{([^{}]+)\}", 1, _TEXT_TYPES), _BOXED),
+    (ExtractionRule("answer_is_text", _ANSWER_IS + _TEXT_SPAN, 1, _TEXT_TYPES), _ANSWER),
+    (ExtractionRule("answer_colon_text", _ANSWER_COLON + _TEXT_SPAN, 1, _TEXT_TYPES), _ANSWER),
 )
+BUILTIN_RULES: tuple[ExtractionRule, ...] = tuple(rule for rule, _ in _BUILTINS)
+# The built-ins that apply to each question type, in precedence order.
+_BUILTINS_BY_TYPE = {
+    qtype: tuple(entry for entry in _BUILTINS if qtype in entry[0].applicable_types) for qtype in QuestionType
+}
 
 # Wording is frozen so that reruns with the same extractor model are reproducible.
 MODEL_EXTRACTION_PROMPT = (
@@ -202,19 +227,28 @@ def extract_answer(
         return UNEXTRACTED
     n_choices = len(choices) if choices else 0
 
-    for rule in tuple(rules) + BUILTIN_RULES:
-        if qtype not in rule.applicable_types:
-            continue
-        hit = _apply_rule(rule, raw, qtype, n_choices)
-        if hit is not None:
-            return hit
+    for rule in rules:
+        if qtype in rule.applicable_types:
+            hit = _apply_rule(rule, raw, 0, qtype, n_choices)
+            if hit is not None:
+                return hit
+    # For an ASCII reply str.lower() folds case as the rules' IGNORECASE does
+    # and keeps every index; other replies are scanned in full.
+    low = raw.lower() if raw.isascii() else None
+    for rule, words in _BUILTINS_BY_TYPE[qtype]:
+        start = 0 if low is None else _scan_start(low, words)
+        if start >= 0:
+            hit = _apply_rule(rule, raw, start, qtype, n_choices)
+            if hit is not None:
+                return hit
 
     if qtype is QuestionType.SINGLE_CHOICE:
         return _standalone_letter(raw, n_choices) or _choice_text(raw, choices, single=True) or UNEXTRACTED
     if qtype is QuestionType.MULTIPLE_CHOICE:
         return _standalone_letters(raw, n_choices) or _choice_text(raw, choices, single=False) or UNEXTRACTED
     if qtype is QuestionType.YES_NO:
-        return _leading_token(raw) or _polarity_scan(raw) or UNEXTRACTED
+        tokens = _clean_tokens(raw)
+        return _leading_token(tokens) or _polarity_scan(tokens) or UNEXTRACTED
     # fill_blank / free_open: the normalized full response
     text = normalize_text(raw)
     if not text:
@@ -222,11 +256,30 @@ def extract_answer(
     return ExtractedAnswer(text, ExtractionStatus.EXTRACTED, "full_text", raw)
 
 
-def _apply_rule(rule: ExtractionRule, raw: str, qtype: QuestionType, n_choices: int):
-    matches = list(rule.compiled.finditer(raw))
-    if not matches:
+def _scan_start(low: str, words: tuple[str, ...]) -> int:
+    """Where a built-in rule's scan of the lowercased ASCII reply ``low`` can
+    start: at the first of its words, less the whitespace before it, or -1
+    when none occurs. No match starts earlier: each starts with one of the
+    words, except that ``paren_line_start``'s starts at the whitespace
+    before its ``(``. ``re`` tests ``^`` and ``\\b`` against the characters
+    before the start, so a match found from there is the match of a full scan.
+    """
+    found = [i for i in map(low.find, words) if i >= 0]
+    if not found:
+        return -1
+    start = min(found)
+    while start > 0 and low[start - 1].isspace():
+        start -= 1
+    return start
+
+
+def _apply_rule(rule: ExtractionRule, raw: str, start: int, qtype: QuestionType, n_choices: int):
+    last = None
+    for last in rule.compiled.finditer(raw, start):
+        pass
+    if last is None:
         return None
-    span = matches[-1].group(rule.capture_group)
+    span = last.group(rule.capture_group)
     if span is None:
         return None
     value = _parse_span(span, qtype, n_choices)
@@ -255,7 +308,7 @@ def _parse_span(span: str, qtype: QuestionType, n_choices: int):
 def _span_letters(span: str) -> list[str] | None:
     """Parse "A", "a and c", "A, C" or an all-caps run "AC" into letters."""
     letters: list[str] = []
-    for run in re.findall(r"[A-Za-z]+", span):
+    for run in _LETTER_RUN_RE.findall(span):
         if run.lower() in ("and", "or"):
             continue
         if len(run) == 1:
@@ -272,15 +325,19 @@ def _valid(letter: str, n_choices: int) -> bool:
 
 
 def _standalone_letter(raw: str, n_choices: int):
-    valid = [m.group(1) for m in re.finditer(r"\b([A-Z])\b", raw) if _valid(m.group(1), n_choices)]
-    if not valid:
+    last = None
+    for m in _CAPITAL_RE.finditer(raw):
+        if _valid(m.group(1), n_choices):
+            last = m.group(1)
+    if last is None:
         return None
-    return ExtractedAnswer(valid[-1], ExtractionStatus.EXTRACTED, "standalone_letter", valid[-1])
+    return ExtractedAnswer(last, ExtractionStatus.EXTRACTED, "standalone_letter", last)
+
 
 def _standalone_letters(raw: str, n_choices: int):
     # For set answers, collect every valid letter on the last line that has one.
     for line in reversed(raw.splitlines()):
-        valid = [m.group(1) for m in re.finditer(r"\b([A-Z])\b", line) if _valid(m.group(1), n_choices)]
+        valid = [m.group(1) for m in _CAPITAL_RE.finditer(line) if _valid(m.group(1), n_choices)]
         if valid:
             return ExtractedAnswer(
                 tuple(sorted(set(valid))), ExtractionStatus.EXTRACTED, "standalone_letters", line
@@ -311,11 +368,10 @@ def _map_token(token: str) -> str | None:
 
 
 def _clean_tokens(raw: str) -> list[str]:
-    return [_strip_edge_punct(t) for t in normalize_text(raw).split(" ") if _strip_edge_punct(t)]
+    return [t for t in map(_strip_edge_punct, normalize_text(raw).split(" ")) if t]
 
 
-def _leading_token(raw: str):
-    tokens = _clean_tokens(raw)
+def _leading_token(tokens: list[str]):
     if not tokens:
         return None
     value = _map_token(tokens[0])
@@ -324,13 +380,12 @@ def _leading_token(raw: str):
     return ExtractedAnswer(value, ExtractionStatus.EXTRACTED, "leading_token", tokens[0])
 
 
-def _polarity_scan(raw: str):
+def _polarity_scan(tokens: list[str]):
     """Decide yes/no from the polarity tokens in the response.
 
     "not"/"never" flips the token that follows it; a mix of polarities is
     treated as ambiguous.
     """
-    tokens = _clean_tokens(raw)
     polarities = set()
     for i, token in enumerate(tokens):
         value = _map_token(token)

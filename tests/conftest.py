@@ -2,6 +2,11 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# CI runs the properties with --hypothesis-profile=ci: more examples, and the
+# same examples on every run and Python version.
+settings.register_profile("ci", max_examples=1000, derandomize=True, deadline=None)
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "goldens"

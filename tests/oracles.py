@@ -4,6 +4,7 @@ matrices. Keep these free of any imports from the package under test.
 """
 
 import math
+import unicodedata
 
 
 def _tokens(text):
@@ -145,3 +146,38 @@ def brute_rouge_n(candidate, reference, n):
     if precision + recall == 0:
         return (precision, recall, 0.0)
     return (precision, recall, 2 * precision * recall / (precision + recall))
+
+
+def naive_normalize_text(text):
+    """normalize_text as its docstring states it, one step at a time until a
+    pass changes nothing: NFKC, lowercase, drop edge characters that are
+    whitespace, punctuation or symbols, collapse whitespace runs to one space,
+    drop one leading "a", "an" or "the" and the space after it.
+    """
+    while True:
+        before = text
+        chars = list(unicodedata.normalize("NFKC", text).lower())
+        while chars and _edge_junk(chars[0]):
+            chars.pop(0)
+        while chars and _edge_junk(chars[-1]):
+            chars.pop()
+        words = []
+        word = ""
+        for ch in chars:
+            if ch.isspace():
+                if word:
+                    words.append(word)
+                word = ""
+            else:
+                word += ch
+        if word:
+            words.append(word)
+        if words and words[0] in ("a", "an", "the") and len(words) > 1:
+            words.pop(0)
+        text = " ".join(words)
+        if text == before:
+            return text
+
+
+def _edge_junk(ch):
+    return ch.isspace() or unicodedata.category(ch)[0] in ("P", "S")

@@ -206,6 +206,28 @@ class TestReplyParsing:
         with pytest.raises(MalformedReply):
             parse_chat_response(payload)
 
+    @pytest.mark.parametrize(
+        "usage,field",
+        [
+            ({"prompt_tokens": "many"}, "usage.prompt_tokens"),
+            ([1], "usage"),
+            ({"completion_tokens": None}, "usage.completion_tokens"),
+        ],
+        ids=["string_count", "list", "null_count"],
+    )
+    def test_bad_usage_is_malformed(self, usage, field):
+        payload = {"choices": [{"message": {"content": "hi"}, "finish_reason": "stop"}], "usage": usage}
+        with pytest.raises(MalformedReply, match=field):
+            parse_chat_response(payload)
+
+    def test_message_that_is_not_an_object_is_malformed(self):
+        with pytest.raises(MalformedReply):
+            parse_chat_response({"choices": [{"message": [1]}]})
+
+    def test_finish_reason_that_is_not_a_string_reads_as_error(self):
+        response = parse_chat_response({"choices": [{"message": {"content": "hi"}, "finish_reason": ["stop"]}]})
+        assert response.finish_reason is FinishReason.ERROR
+
     @pytest.mark.parametrize("logprobs", [{"content": [{"tok": "x"}]}, "abc"], ids=["entry_without_token", "string"])
     def test_unrequested_chat_logprobs_are_not_read(self, logprobs):
         # build_chat_request asks for no logprobs, so whatever a server sends there is ignored
@@ -246,6 +268,10 @@ class TestReplyParsing:
         with pytest.raises(MalformedReply):
             parse_completions_logprobs(payload, 0, "a")
 
+    def test_echoed_array_that_is_not_a_list_is_malformed(self):
+        with pytest.raises(MalformedReply, match="missing echoed logprobs"):
+            parse_completions_logprobs(_echo_payload(tokens=5, logprobs=[-1.0], offsets=[0]), 0, "a")
+
     def test_no_continuation_tokens_is_malformed(self):
         payload = _echo_payload(tokens=["ab"], logprobs=[None], offsets=[0])
         with pytest.raises(MalformedReply):
@@ -256,6 +282,19 @@ class TestReplyParsing:
         payload = _echo_payload(tokens=["a", "b"], logprobs=[None, logprob], offsets=[0, 1])
         with pytest.raises(MalformedReply, match="sum to"):
             parse_completions_logprobs(payload, 1, "b")
+
+    @pytest.mark.parametrize(
+        "tokens,logprobs,offsets,field",
+        [
+            (["a", "b"], [None, "abc"], [0, 1], "token_logprobs"),
+            (["a", 5], [None, -1.0], [0, 1], "tokens"),
+            (["a", "b"], [None, -1.0], [0, "1"], "text_offset"),
+        ],
+        ids=["string_logprob", "int_token", "string_offset"],
+    )
+    def test_bad_echoed_values_are_malformed(self, tokens, logprobs, offsets, field):
+        with pytest.raises(MalformedReply, match=f"logprobs.{field}"):
+            parse_completions_logprobs(_echo_payload(tokens, logprobs, offsets), 1, "b")
 
 
 class FakeTransport:

@@ -2,7 +2,7 @@ import ast
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from omnieval import (
@@ -14,11 +14,35 @@ from omnieval import (
     normalize_text,
 )
 from omnieval.errors import ConfigError, TransportError
+from omnieval.filters import BUILTIN_RULES
 from omnieval.runner import model_extract
+from oracles import naive_normalize_text
 
 FILTERS_PY = Path(__file__).resolve().parent.parent / "src" / "omnieval" / "filters.py"
 
 CHOICES4 = ["Paris", "Rome", "Berlin", "Madrid"]
+
+VERDICT_RULE = ExtractionRule(name="verdict", pattern=r"(?i:verdict:\s*)\(?([A-Za-z])\)?\b")
+
+# Replies built from segments of a separator, a built-in rule's marker and an
+# answer, and from ASCII punctuation. Markers are also spelt with the
+# non-ASCII characters that re's IGNORECASE folds onto ASCII letters
+# (\u017f onto s, \u0131 and \u0130 onto i, \u212a onto k), and with
+# \ufb05, which NFKC turns into "st".
+_SEPARATORS = ["", " ", "  ", "\n", "\n ", ". ", "\t", "\x0b", "\x1c"]
+_MARKERS = [
+    "", "(", " (", "\n (", "The answer is ", "answers are ", "Answer: ", "ANSWER:", "correct option is ",
+    "Right answer: ", "final choices are ", "\\boxed{", "Boxed{", "Verdict: ", "the an\u017fwer \u0130s ",
+    "an\u017fwer: ", "r\u0131ght answer: ", "f\u0130nal option ", "\\bo\u212aed{", "\ufb05",
+]
+_ANSWERS = ["A", "b", "A)", "c)", "(C)", "A}", "A, C", "B and D}", "yes", "No", "not true", "Paris", "the rome}"]
+MARKER_TEXT = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(_SEPARATORS), st.sampled_from(_MARKERS), st.sampled_from(_ANSWERS)).map("".join),
+        st.characters(min_codepoint=0x21, max_codepoint=0x7E).filter(lambda ch: not ch.isalnum()),
+    ),
+    max_size=6,
+).map("".join)
 
 
 class TestNormalizeText:
@@ -41,6 +65,16 @@ class TestNormalizeText:
     def test_idempotent(self, s):
         once = normalize_text(s)
         assert normalize_text(once) == once
+
+    def test_many_leading_articles(self):
+        assert normalize_text("the " * 20 + "cat") == "cat"
+
+    def test_many_article_and_punctuation_layers(self):
+        assert normalize_text("the ," * 20 + "cat") == "cat"
+
+    @given(st.one_of(st.text(max_size=60), MARKER_TEXT))
+    def test_matches_naive_reference(self, s):
+        assert normalize_text(s) == naive_normalize_text(s)
 
 
 class TestExtractCorpus:
@@ -88,6 +122,24 @@ class TestExtractAnswer:
     def test_total_over_random_text(self, raw, qtype):
         got = extract_answer(raw, qtype, CHOICES4)
         assert (got.value is None) == (got.status is ExtractionStatus.UNEXTRACTED)
+
+    @given(
+        MARKER_TEXT,
+        st.sampled_from(list(QuestionType)),
+        st.sampled_from([None, CHOICES4[:2], CHOICES4]),
+        st.sampled_from([(), (VERDICT_RULE,)]),
+    )
+    @example("x\n  (B) is it", QuestionType.SINGLE_CHOICE, CHOICES4, ())
+    @example("The an\u017fwer is B", QuestionType.SINGLE_CHOICE, CHOICES4, ())
+    @example("Answer is B", QuestionType.SINGLE_CHOICE, CHOICES4, ())
+    @example("Final option C", QuestionType.SINGLE_CHOICE, CHOICES4, ())
+    def test_skipped_scans_change_no_answer(self, raw, qtype, choices, user_rules):
+        # built-ins passed as user rules are scanned over the whole reply
+        got = extract_answer(raw, qtype, choices, rules=user_rules)
+        full = extract_answer(raw, qtype, choices, rules=user_rules + BUILTIN_RULES)
+        assert (got.value, got.status, got.rule_name, got.raw_span) == (
+            full.value, full.status, full.rule_name, full.raw_span
+        )
 
     def test_user_rule_takes_precedence(self):
         rule = ExtractionRule(
