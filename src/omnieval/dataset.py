@@ -110,8 +110,9 @@ def load_dataset(path, defaults: DatasetManifest | None = None) -> tuple[Dataset
 
     items = []
     seen_ids: set[str] = set()
+    exemplars: dict = {}  # shared by all records, so each distinct exemplar is validated once
     for index, record in enumerate(records):
-        item = validate_item(record, manifest, index=index)
+        item = validate_item(record, manifest, index=index, exemplars=exemplars)
         if item.id in seen_ids:
             raise SchemaError(f"record {item.id!r} (index {index}): duplicate field: id")
         seen_ids.add(item.id)
@@ -126,7 +127,7 @@ def _manifest_from_meta(meta: dict, defaults: DatasetManifest | None, fallback_n
         default_qtype = QuestionType(qtype) if qtype else base.default_question_type
     except ValueError:
         raise SchemaError(f"bad field: meta.default_question_type: {qtype!r}") from None
-    bad = "bad field: meta."
+    bad = lambda: "bad field: meta."
     return DatasetManifest(
         name=meta.get("name", base.name or fallback_name),
         version=str(meta.get("version", base.version)),
@@ -135,24 +136,32 @@ def _manifest_from_meta(meta: dict, defaults: DatasetManifest | None, fallback_n
         language=_text(meta, "language", base.language, bad),
         domain=_text(meta, "domain", base.domain, bad),
         modality=_text(meta, "modality", base.modality, bad),
-        few_shot=_few_shot(meta, "meta", bad) or base.few_shot,
+        few_shot=_few_shot(meta, lambda: "meta", bad, {}) or base.few_shot,
     )
 
 
-def validate_item(record, manifest: DatasetManifest, index: int = 0) -> EvalItem:
+def validate_item(record, manifest: DatasetManifest, index: int = 0, exemplars: dict | None = None) -> EvalItem:
     """Validate one raw record against the schema and canonicalize it.
 
     Fills the question type from the manifest default when absent and
     normalizes the ground-truth answer. Raises SchemaError with the record id
-    (or index) and the offending field in the message.
+    (or index) and the offending field in the message. ``exemplars`` maps the
+    few-shot exemplars already accepted to their loaded form, which records
+    passing the same dict share.
     """
     if not isinstance(record, dict):
         raise SchemaError(f"record at index {index}: not an object")
     rid = record.get("id")
-    where = f"record {rid!r} (index {index})" if rid else f"record at index {index}"
+
+    # the location is only formatted for a message
+    def where():
+        return f"record {rid!r} (index {index})" if rid else f"record at index {index}"
+
+    def bad():
+        return f"{where()}: bad field: "
 
     def fail(detail):
-        raise SchemaError(f"{where}: {detail}")
+        raise SchemaError(f"{where()}: {detail}")
 
     if not rid or not isinstance(rid, str):
         fail("missing field: id")
@@ -180,8 +189,7 @@ def validate_item(record, manifest: DatasetManifest, index: int = 0) -> EvalItem
         fail("missing field: answer")
     answer = _canonical_answer(record["answer"], qtype, choices, fail)
 
-    bad = f"{where}: bad field: "
-    few_shot = _few_shot(record, where, bad) or manifest.few_shot
+    few_shot = _few_shot(record, where, bad, {} if exemplars is None else exemplars) or manifest.few_shot
 
     category = _text(record, "category", None, bad)
     if category == RESERVED_CATEGORY:
@@ -262,41 +270,54 @@ def _parse_letter_set(answer, choices) -> tuple[str, ...] | None:
     return tuple(sorted(letters)) if letters else None
 
 
-def _text(raw: dict, key: str, default, bad: str) -> str | None:
-    """``raw[key]`` if it is a string or null, ``default`` if it is absent.
-    ``bad`` starts the error message, up to the field's name."""
+# Error locations are passed as functions that return them, called only to
+# raise: ``where()`` names the record, ``bad()`` starts a message up to the
+# field's name.
+
+def _text(raw: dict, key: str, default, bad) -> str | None:
+    """``raw[key]`` if it is a string or null, ``default`` if it is absent."""
     value = raw.get(key, default)
     if value is not None and not isinstance(value, str):
-        raise SchemaError(f"{bad}{key}: must be a string or null, got {value!r}")
+        raise SchemaError(f"{bad()}{key}: must be a string or null, got {value!r}")
     return value
 
 
-def _few_shot(raw: dict, where: str, bad: str) -> tuple[FewShotExemplar, ...]:
+def _few_shot(raw: dict, where, bad, accepted: dict) -> tuple[FewShotExemplar, ...]:
     exemplars = raw.get("few_shot", [])
     if not isinstance(exemplars, list):
-        raise SchemaError(f"{bad}few_shot: must be a list of objects, got {exemplars!r}")
-    return tuple(_exemplar(f, where, i) for i, f in enumerate(exemplars))
+        raise SchemaError(f"{bad()}few_shot: must be a list of objects, got {exemplars!r}")
+    return tuple(_exemplar(f, where, i, accepted) for i, f in enumerate(exemplars))
 
 
-def _exemplar(raw, where, index) -> FewShotExemplar:
+def _exemplar(raw, where, index, accepted: dict) -> FewShotExemplar:
+    """The exemplar of ``raw``. ``accepted`` maps the key of each exemplar
+    that passed these checks to it; a raw exemplar with the same key is that
+    one, without checking it again."""
     if not isinstance(raw, dict):
-        raise SchemaError(f"{where}: bad field: few_shot[{index}]: not an object")
+        raise SchemaError(f"{where()}: bad field: few_shot[{index}]: not an object")
     instruction = raw.get("instruction")
     answer = raw.get("answer")
-    if not isinstance(instruction, str) or not instruction.strip():
-        raise SchemaError(f"{where}: missing field: few_shot[{index}].instruction")
-    if not isinstance(answer, str) or not answer.strip():
-        raise SchemaError(f"{where}: missing field: few_shot[{index}].answer")
     choices = raw.get("choices")
+    # the choices' type is in the key, so only a list can match a list accepted before
+    key = (instruction, answer, type(choices), tuple(choices) if type(choices) is list else choices)
+    try:
+        return accepted[key]
+    except (KeyError, TypeError):  # not seen yet, or holding an unhashable value, which the checks refuse
+        pass
+    if not isinstance(instruction, str) or not instruction.strip():
+        raise SchemaError(f"{where()}: missing field: few_shot[{index}].instruction")
+    if not isinstance(answer, str) or not answer.strip():
+        raise SchemaError(f"{where()}: missing field: few_shot[{index}].answer")
     if choices is not None:
         choices = _choices(choices, where, f"few_shot[{index}].choices")
-    return FewShotExemplar(instruction, answer, choices or None)
+    exemplar = accepted[key] = FewShotExemplar(instruction, answer, choices or None)
+    return exemplar
 
 
 def _choices(raw, where, name) -> tuple[str, ...]:
     # one letter per option: A to Z
     if not isinstance(raw, list) or len(raw) > len(LETTERS) or not all(isinstance(c, str) for c in raw):
-        raise SchemaError(f"{where}: bad field: {name}: must be a list of at most {len(LETTERS)} strings")
+        raise SchemaError(f"{where()}: bad field: {name}: must be a list of at most {len(LETTERS)} strings")
     return tuple(raw)
 
 

@@ -80,6 +80,7 @@ def render_prompt(
     template: PromptTemplate,
     use_cot: bool = False,
     num_shots: int = 0,
+    memo: dict | None = None,
 ) -> PromptBundle:
     """Assemble the conversation for one item.
 
@@ -89,6 +90,8 @@ def render_prompt(
     when ``use_cot`` is set), and the answer prefix. Each exemplar becomes a
     user/assistant turn pair rendered the same way, minus the CoT line.
     Requesting more shots than the item carries truncates with a warning.
+    ``memo``, a dict the caller keeps for a run, holds each ``(exemplar,
+    template)`` turn pair once rendered, so items sharing it reuse it.
     """
     exemplars = item.few_shot[:num_shots]
     if num_shots > len(item.few_shot):
@@ -97,10 +100,15 @@ def render_prompt(
             item.id, num_shots, len(item.few_shot),
         )
 
+    if memo is None:
+        memo = {}
     turns: list[Turn] = []
     for exemplar in exemplars:
-        turns.append(Turn("user", _question_text(exemplar, template, cot_text=None)))
-        turns.append(Turn("assistant", exemplar.answer))
+        pair = memo.get((exemplar, template))
+        if pair is None:
+            pair = memo[exemplar, template] = (Turn("user", _question_text(exemplar, template, cot_text=None)),
+                                               Turn("assistant", exemplar.answer))
+        turns += pair
 
     if item.cot_directive is not None:
         cot_text = item.cot_directive

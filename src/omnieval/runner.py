@@ -440,10 +440,12 @@ def _run(
         extract = lambda bundle, options: call(extract_keys.generate(bundle), "generate",
                                                extractor.generate, bundle, options)
 
+    rendered: dict = {}  # each exemplar's turn pair, rendered once per run
+
     def task(item: EvalItem) -> RunRecord:
         digest = ""
         try:
-            bundle = render_prompt(item, config.template, config.use_cot, config.num_shots)
+            bundle = render_prompt(item, config.template, config.use_cot, config.num_shots, rendered)
             if ppl:
                 context = flatten_bundle(bundle, config.template.exemplar_separator)
                 continuations = [" " + choice for choice in item.choices]
@@ -542,16 +544,38 @@ def records_to_jsonl(records: list[RunRecord]) -> str:
 
 
 def write_text_atomic(path, text: str) -> None:
-    """Write ``text`` to a temporary file beside ``path`` and move it into
-    place, so a crash leaves either the old file or the new one."""
+    """Write ``text`` as UTF-8 to a temporary file beside ``path`` and move it
+    into place, so a crash leaves either the old file or the new one. When
+    ``path`` already holds exactly those bytes nothing is written, so an
+    unchanged output keeps its inode and mtime."""
     path = Path(path)
+    data = text.encode("utf-8")
+    if _holds(path, data):
+        return
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        tmp.write_bytes(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _holds(path: Path, data: bytes) -> bool:
+    """Whether the file at ``path`` holds exactly ``data``, read a chunk at a
+    time; a file that cannot be read does not."""
+    chunk = 1 << 16
+    try:
+        if os.stat(path).st_size != len(data):
+            return False
+        with open(path, "rb") as f:
+            for start in range(0, len(data), chunk):
+                # bytes against bytes: comparing with a memoryview goes byte by byte, many times slower
+                if f.read(chunk) != data[start:start + chunk]:
+                    return False
+            return not f.read(1)
+    except OSError:
+        return False
 
 
 def read_records(path) -> list[RunRecord]:

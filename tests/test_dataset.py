@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from omnieval import DatasetManifest, QuestionType, load_dataset, validate_item
+from omnieval import DatasetManifest, FewShotExemplar, QuestionType, load_dataset, validate_item
 from omnieval.dataset import dump_dataset, item_to_record
 from omnieval.errors import EmptyDataset, ParseError, SchemaError
 
@@ -153,6 +153,33 @@ class TestValidateItem:
         _, items = load_dataset(write(tmp_path, payload))
         assert items[0].few_shot[0].answer == "4"
 
+    def test_equal_exemplars_load_as_one_object(self, tmp_path):
+        shot = {"instruction": "Sky?", "answer": "B", "choices": ["green", "blue"]}
+        records = [
+            {**GOOD_RECORD, "few_shot": [shot, {"instruction": "2+2?", "answer": "4"}]},
+            {**GOOD_RECORD, "id": "r2", "few_shot": [{"instruction": "2+2?", "answer": "4"}, dict(shot)]},
+        ]
+        _, items = load_dataset(write(tmp_path, records))
+        assert items[0].few_shot[0] is items[1].few_shot[1]
+        assert items[0].few_shot[1] is items[1].few_shot[0]
+        assert items[0].few_shot[0] == FewShotExemplar("Sky?", "B", ("green", "blue"))
+
+    @pytest.mark.parametrize("shot,message", [
+        ({"instruction": "Sky?", "answer": "B", "choices": ["green", 2]},
+         r"bad field: few_shot\[1\]\.choices: must be a list of at most 26 strings"),
+        ({"instruction": "Sky?", "answer": " ", "choices": ["green", "blue"]},
+         r"missing field: few_shot\[1\]\.answer"),
+        (["Sky?", "B", ["green", "blue"]], r"bad field: few_shot\[1\]: not an object"),
+    ], ids=["non_string_choice", "blank_answer", "not_an_object"])
+    def test_exemplar_like_an_accepted_one_is_still_checked(self, tmp_path, shot, message):
+        valid = {"instruction": "Sky?", "answer": "B", "choices": ["green", "blue"]}
+        records = [
+            {**GOOD_RECORD, "few_shot": [valid]},
+            {**GOOD_RECORD, "id": "r2", "few_shot": [valid, shot]},
+        ]
+        with pytest.raises(SchemaError, match=rf"^record 'r2' \(index 1\): {message}"):
+            load_dataset(write(tmp_path, records))
+
     def test_unknown_keys_preserved(self):
         record = {**GOOD_RECORD, "source_url": "http://example.com"}
         item = validate_item(record, self.MANIFEST)
@@ -165,6 +192,15 @@ class TestValidateItem:
 _texts = st.text(
     alphabet=st.characters(blacklist_categories=("Cs", "Cc")), min_size=1, max_size=20
 ).filter(lambda s: s.strip())
+
+
+# a small pool, so records often share exemplars
+_exemplars = st.sampled_from([
+    {"instruction": "2+2?", "answer": "4"},
+    {"instruction": "Sky?", "answer": "B", "choices": ["green", "blue"]},
+    {"instruction": "Sky?", "answer": "B", "choices": []},
+    {"instruction": "Sky?", "answer": "B"},
+]) | st.fixed_dictionaries({"instruction": _texts, "answer": _texts})
 
 
 @st.composite
@@ -189,7 +225,7 @@ def valid_records(draw, index):
     else:
         record["answer"] = draw(_texts)
     if draw(st.booleans()):
-        record["few_shot"] = [{"instruction": draw(_texts), "answer": draw(_texts)}]
+        record["few_shot"] = draw(st.lists(_exemplars, min_size=1, max_size=3))
     if draw(st.booleans()):
         record["category"] = draw(st.sampled_from(["math", "law", "misc"]))
     return record
@@ -214,6 +250,16 @@ def test_round_trip_property(tmp_path_factory, records):
     m2, items2 = load_dataset(path)
     assert items1 == items2
     assert m1 == m2
+    # exemplars written alike load as one object, and each is what its record says
+    loaded: dict[str, set[int]] = {}
+    for record, item in zip(unique, items1):
+        for raw, shot in zip(record.get("few_shot", []), item.few_shot):
+            loaded.setdefault(json.dumps(raw, sort_keys=True), set()).add(id(shot))
+        assert item.few_shot == tuple(
+            FewShotExemplar(f["instruction"], f["answer"], tuple(f["choices"]) if f.get("choices") else None)
+            for f in record.get("few_shot", [])
+        )
+    assert all(len(ids) == 1 for ids in loaded.values())
     # loaded items satisfy the schema invariants
     assert len({item.id for item in items1}) == len(items1)
     letters = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"

@@ -135,6 +135,46 @@ class TestRenderPrompt:
             assert len(bundle.turns) == 1
 
 
+# items whose exemplars are equal but not all the same objects, in either order
+SHARED_SHOTS = (FewShotExemplar("Colour of the sky?", "B", choices=("green", "blue")), FewShotExemplar("2+2?", "4"))
+SHARING_ITEMS = [
+    EvalItem(
+        id=f"m{i}", instruction=f"Question {i}?", question_type=QuestionType.SINGLE_CHOICE,
+        answer="A", choices=("yes", "no"),
+        few_shot=SHARED_SHOTS if i % 2 else (FewShotExemplar("2+2?", "4"), SHARED_SHOTS[0]),
+    )
+    for i in range(4)
+]
+
+
+class TestRenderMemo:
+    TEMPLATES = (TEMPLATE, PromptTemplate(system_text="Be terse.", question_prefix="Q: ",
+                                          choice_line_format="({letter}) {text}", answer_prefix="A:"))
+
+    def test_memo_renders_what_a_render_without_it_does(self):
+        memo: dict = {}
+        for template in self.TEMPLATES:  # one memo under both templates
+            for item in SHARING_ITEMS:
+                for shots in (2, 1):
+                    fresh = render_prompt(item, template, True, shots)
+                    assert render_prompt(item, template, True, shots, memo) == fresh
+        assert len(memo) == 2 * len(self.TEMPLATES)
+        first, second = (render_prompt(item, TEMPLATE, False, 2, memo) for item in SHARING_ITEMS[:2])
+        assert first.turns[0] is second.turns[2] and first.turns[1] is second.turns[3]
+
+    def test_run_renders_each_exemplar_once(self, monkeypatch):
+        from omnieval import RunConfig, StubBackend, prompts, run_generation_eval
+
+        rendered = []
+        question_text = prompts._question_text
+        monkeypatch.setattr(prompts, "_question_text",
+                            lambda source, *a, **k: rendered.append(source) or question_text(source, *a, **k))
+        records = run_generation_eval(SHARING_ITEMS, StubBackend(default_reply="A"),
+                                      RunConfig(num_shots=2, concurrency_limit=1))  # no race to render first
+        assert [r.error for r in records] == [None] * len(SHARING_ITEMS)
+        assert sorted(map(repr, rendered)) == sorted(map(repr, [*SHARING_ITEMS, *SHARED_SHOTS]))
+
+
 class TestFlattenBundle:
     def test_exemplars_join_with_separator(self):
         bundle = render_prompt(ITEM, TEMPLATE, use_cot=False, num_shots=1)

@@ -34,6 +34,7 @@ from omnieval.runner import (
     canonical_json,
     records_to_jsonl,
     write_run_output,
+    write_text_atomic,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -922,6 +923,65 @@ class TestWriteRunOutput:
             write_run_output(run_generation_eval(items[:3], stub, config, manifest),
                              manifest, stub, config, "t2", "t3")
         assert (run_dir / "records.jsonl").read_bytes() == before
+        assert sorted(p.name for p in run_dir.iterdir()) == ["records.jsonl", "run_meta.json"]
+
+
+class TestWriteTextAtomic:
+    OLD_NS = 1_000_000_000_000_000_000  # an mtime no write can leave behind
+
+    def aged(self, tmp_path, data: bytes) -> Path:
+        path = tmp_path / "out.jsonl"
+        path.write_bytes(data)
+        os.utime(path, ns=(self.OLD_NS, self.OLD_NS))
+        return path
+
+    def test_same_bytes_are_not_written(self, tmp_path):
+        text = "caf\u00e9\n" * 30000  # more than one chunk of the comparison
+        path = self.aged(tmp_path, text.encode("utf-8"))
+        before = path.stat()
+        write_text_atomic(path, text)
+        after = path.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, self.OLD_NS)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl"]
+
+    @pytest.mark.parametrize("old", [b"abcd\n", b"abc\n", b"abcd\nX", b""],
+                             ids=["same_size", "shorter", "longer", "empty"])
+    def test_other_bytes_are_written(self, tmp_path, old):
+        path = self.aged(tmp_path, old)
+        write_text_atomic(path, "abce\n")
+        assert path.read_bytes() == b"abce\n"
+        assert path.stat().st_mtime_ns != self.OLD_NS
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl"]
+
+    def test_same_size_differing_in_a_later_chunk_is_written(self, tmp_path):
+        text = "a" * 200_000
+        path = self.aged(tmp_path, text[:-1].encode() + b"b")
+        write_text_atomic(path, text)
+        assert path.read_text() == text
+
+    def test_missing_file_is_written(self, tmp_path):
+        path = tmp_path / "new.json"
+        write_text_atomic(path, "{}")
+        assert path.read_bytes() == b"{}"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["new.json"]
+
+    def test_warm_eval_keeps_records_and_rewrites_run_meta(self, tmp_path, fixture_dataset_path,
+                                                           fixture_replies):
+        from omnieval.cli import main
+
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "dataset": str(fixture_dataset_path),
+            "output_dir": str(tmp_path / "runs"),
+            "cache_dir": str(tmp_path / "cache"),
+            "backend": {"type": "stub", "model_name": "stub", "scripted": fixture_replies},
+        }), encoding="utf-8")
+        run_dir = tmp_path / "runs" / "fixture10" / "stub"
+        assert main(["eval", "--config", str(config)]) == 0
+        records, meta = (run_dir / "records.jsonl").stat(), (run_dir / "run_meta.json").stat()
+        assert main(["eval", "--config", str(config)]) == 0
+        assert (run_dir / "records.jsonl").stat().st_ino == records.st_ino
+        assert (run_dir / "run_meta.json").stat().st_ino != meta.st_ino
         assert sorted(p.name for p in run_dir.iterdir()) == ["records.jsonl", "run_meta.json"]
 
 
