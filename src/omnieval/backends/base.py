@@ -127,7 +127,8 @@ class BackendCapabilities:
 
 class Backend(ABC):
     """Inference backend. Implementations must be safe for concurrent calls;
-    all per-request state lives in the request."""
+    all per-request state lives in the request. ``capabilities()`` declares
+    what a run may ask; the runner refuses the rest before any call."""
 
     @abstractmethod
     def capabilities(self) -> BackendCapabilities: ...

@@ -27,7 +27,6 @@ from ..errors import (
     MalformedReply,
     RateLimited,
     TransportError,
-    UnsupportedCapability,
 )
 from ..prompts import PromptBundle
 from .base import (
@@ -174,7 +173,11 @@ def parse_completions_logprobs(payload: dict, context_chars: int, continuation: 
 # Caps on what a reply may send before its body.
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
-_BAD_PATH = re.compile(r"[\x00-\x20\x7f]")
+
+# What the request head, sent as Latin-1, cannot carry: in the request line a
+# space or control character; in a header value a line break.
+_BAD_PATH = re.compile(r"[\x00-\x20\x7f]|[^\x00-\xff]")
+_BAD_HEADER_VALUE = re.compile(r"[\r\n]|[^\x00-\xff]")
 
 
 class _StaleConnection(ConnectionError):
@@ -262,17 +265,13 @@ class _Connection:
     def request(self, path: str, data: bytes, headers: dict) -> tuple[int, dict, bytes, bool]:
         """POST ``data`` and read the reply: (status, headers, body, keep the
         connection). Raises _StaleConnection when the connection fails before
-        the reply starts."""
-        if _BAD_PATH.search(path):
-            raise ValueError(f"request path {path!r} has a space or control character")
+        the reply starts. ``path`` and ``headers`` are HttpBackend's, checked
+        when it was built."""
         lines = [f"POST {path} HTTP/1.1", f"Host: {self.host_header}", "Accept-Encoding: identity",
                  f"Content-Length: {len(data)}"]
         lines += [f"{name}: {value}" for name, value in headers.items()]
-        head = "\n".join(lines)
-        if "\r" in head or head.count("\n") != len(lines) - 1:
-            raise ValueError("a request header has a line break")
         try:
-            self.sock.sendall(head.replace("\n", "\r\n").encode("latin-1") + b"\r\n\r\n" + data)
+            self.sock.sendall("\r\n".join(lines).encode("latin-1") + b"\r\n\r\n" + data)
             started = self.reader.peek(1)
         except (ConnectionResetError, BrokenPipeError) as exc:
             raise _StaleConnection(str(exc)) from exc
@@ -379,11 +378,20 @@ class HttpBackend(Backend):
             parts.port
         except ValueError as exc:  # out of range or not a number
             raise ConfigError(f"base_url has a bad port: {exc}, got {base_url!r}") from None
+        if _BAD_PATH.search(parts.path + parts.query):
+            raise ConfigError("base_url path and query must hold no space, control character or character "
+                              f"outside Latin-1, got {base_url!r}")
         if not isinstance(api_key_env, str):
             raise ConfigError(f"api_key_env must be the name of an environment variable, got {api_key_env!r}")
+        self.headers = {"Content-Type": "application/json"}
+        key = os.environ.get(api_key_env)
+        if key:
+            if _BAD_HEADER_VALUE.search(key):  # the message leaves the key out
+                raise ConfigError(f"the API key in environment variable {api_key_env} has a line break "
+                                  "or a character outside Latin-1")
+            self.headers["Authorization"] = f"Bearer {key}"
         self.base_url = base_url.rstrip("/")
         self.model_name = model_name
-        self.api_key_env = api_key_env
         self.timeout_s = timeout_s
         self._transport = transport or _keepalive_transport
         self._caps = BackendCapabilities(
@@ -393,16 +401,9 @@ class HttpBackend(Backend):
     def capabilities(self) -> BackendCapabilities:
         return self._caps
 
-    def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
-        key = os.environ.get(self.api_key_env)
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
-        return headers
-
     def _post(self, endpoint: str, body: dict) -> dict:
         url = f"{self.base_url}{endpoint}"
-        status, headers, text = self._transport(url, body, self._headers(), self.timeout_s)
+        status, headers, text = self._transport(url, body, self.headers, self.timeout_s)
         if status == 429:
             try:
                 retry_after_s = float(headers.get("Retry-After") or headers.get("retry-after"))
@@ -421,10 +422,6 @@ class HttpBackend(Backend):
             raise MalformedReply(f"{url}: reply is not JSON: {exc}") from exc
 
     def generate(self, bundle: PromptBundle, options: GenerationOptions) -> ModelResponse:
-        if not self._caps.supports_generation:
-            raise UnsupportedCapability(f"{self.model_name} does not support generation")
-        if any(turn.attachments for turn in bundle.turns) and not self._caps.supports_images:
-            raise UnsupportedCapability(f"{self.model_name} does not accept image attachments")
         body = build_chat_request(self.model_name, bundle, options)
         start = time.monotonic()
         payload = self._post("/v1/chat/completions", body)
@@ -432,8 +429,6 @@ class HttpBackend(Backend):
         return parse_chat_response(payload, latency_ms)
 
     def loglikelihood(self, context: str, continuation: str) -> LoglikelihoodResult:
-        if not self._caps.supports_loglikelihood:
-            raise UnsupportedCapability(f"{self.model_name} does not support loglikelihood")
         if not continuation:
             raise ValueError("continuation must be non-empty")
         body = build_completions_request(self.model_name, context + continuation)

@@ -16,7 +16,7 @@ import math
 import threading
 import time
 
-from ..errors import ConfigError, UnsupportedCapability
+from ..errors import ConfigError
 from ..prompts import PromptBundle
 from .base import (
     Backend,
@@ -111,8 +111,6 @@ class StubBackend(Backend):
             self._inflight -= 1
 
     def generate(self, bundle: PromptBundle, options: GenerationOptions) -> ModelResponse:
-        if not self._caps.supports_generation:
-            raise UnsupportedCapability("stub configured without generation support")
         self._enter("generate")
         try:
             if bundle.item_id is not None and bundle.item_id in self.scripted:
@@ -133,8 +131,6 @@ class StubBackend(Backend):
             self._exit()
 
     def loglikelihood(self, context: str, continuation: str) -> LoglikelihoodResult:
-        if not self._caps.supports_loglikelihood:
-            raise UnsupportedCapability("stub configured without loglikelihood support")
         if not continuation:
             raise ValueError("continuation must be non-empty")
         self._enter("loglikelihood")

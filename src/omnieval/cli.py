@@ -109,14 +109,6 @@ def build_run_config(raw: dict) -> RunConfig:
     return _build(RunConfig, raw, "config", **built)
 
 
-def _dataset_defaults(config: RunConfig) -> DatasetManifest:
-    return DatasetManifest(
-        name="",
-        default_question_type=config.default_question_type,
-        metrics=config.default_metrics,
-    )
-
-
 def cmd_eval(args) -> int:
     raw = _load_json(args.config)
     for key in ("mode", "num_shots", "use_cot", "limit", "concurrency_limit", "output_dir", "cache_dir"):
@@ -135,7 +127,7 @@ def cmd_eval(args) -> int:
     dataset_path = args.dataset or raw.get("dataset")
     if not isinstance(dataset_path, str):
         raise ConfigError(f"dataset must be a path (config file or --dataset), got {dataset_path!r}")
-    manifest, items = load_dataset(dataset_path, defaults=_dataset_defaults(config))
+    manifest, items = load_dataset(dataset_path, config.default_question_type, config.default_metrics)
 
     started = datetime.now(timezone.utc).isoformat()
     if config.mode == "ppl":
@@ -153,7 +145,7 @@ def cmd_eval(args) -> int:
 
 def cmd_score(args) -> int:
     config = build_run_config(_load_json(args.config) if args.config else {})
-    manifest, items = load_dataset(args.dataset, defaults=_dataset_defaults(config))
+    manifest, items = load_dataset(args.dataset, config.default_question_type, config.default_metrics)
     by_id = {item.id: item for item in items}
     stored = read_records(args.records)
 

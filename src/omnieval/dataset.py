@@ -79,13 +79,14 @@ class DatasetManifest:
                 )
 
 
-def load_dataset(path, defaults: DatasetManifest | None = None) -> tuple[DatasetManifest, list[EvalItem]]:
+def load_dataset(path, default_question_type: QuestionType | None = None,
+                 default_metrics: tuple[str, ...] = ("accuracy",)) -> tuple[DatasetManifest, list[EvalItem]]:
     """Load and validate a dataset file.
 
-    ``defaults`` supplies the synthesized manifest for bare-array files
-    (typically derived from the run configuration). Raises ParseError on bad
-    JSON, SchemaError naming the first offending record and field, and
-    EmptyDataset when no records are present.
+    The two defaults, typically the run configuration's, apply where the
+    file's ``meta`` sets neither; a bare-array file has no ``meta``. Raises
+    ParseError on bad JSON, SchemaError naming the first offending record and
+    field, and EmptyDataset when no records are present.
     """
     path = Path(path)
     try:
@@ -103,7 +104,7 @@ def load_dataset(path, defaults: DatasetManifest | None = None) -> tuple[Dataset
             raise ParseError(f"{path}: object form requires a 'meta' object and a 'data' array")
     else:
         raise ParseError(f"{path}: top level must be an array or an object")
-    manifest = _manifest_from_meta(meta, defaults, fallback_name=path.stem)
+    manifest = _manifest_from_meta(meta, path.stem, default_question_type, default_metrics)
 
     if not records:
         raise EmptyDataset(f"{path}: dataset contains no records")
@@ -120,23 +121,25 @@ def load_dataset(path, defaults: DatasetManifest | None = None) -> tuple[Dataset
     return manifest, items
 
 
-def _manifest_from_meta(meta: dict, defaults: DatasetManifest | None, fallback_name: str) -> DatasetManifest:
-    base = defaults or DatasetManifest(name=fallback_name)
+def _manifest_from_meta(meta: dict, fallback_name: str, default_question_type, default_metrics) -> DatasetManifest:
+    name = meta.get("name", fallback_name)
+    if not isinstance(name, str):
+        raise SchemaError(f"bad field: meta.name: must be a string, got {name!r}")
     qtype = meta.get("default_question_type")
     try:
-        default_qtype = QuestionType(qtype) if qtype else base.default_question_type
+        default_qtype = QuestionType(qtype) if qtype else default_question_type
     except ValueError:
         raise SchemaError(f"bad field: meta.default_question_type: {qtype!r}") from None
     bad = lambda: "bad field: meta."
     return DatasetManifest(
-        name=meta.get("name", base.name or fallback_name),
-        version=str(meta.get("version", base.version)),
+        name=name,
+        version=str(meta.get("version", "0")),
         default_question_type=default_qtype,
-        metrics=meta.get("metrics", base.metrics),
-        language=_text(meta, "language", base.language, bad),
-        domain=_text(meta, "domain", base.domain, bad),
-        modality=_text(meta, "modality", base.modality, bad),
-        few_shot=_few_shot(meta, lambda: "meta", bad, {}) or base.few_shot,
+        metrics=meta.get("metrics", default_metrics),
+        language=_text(meta, "language", None, bad),
+        domain=_text(meta, "domain", None, bad),
+        modality=_text(meta, "modality", None, bad),
+        few_shot=_few_shot(meta, lambda: "meta", bad, {}),
     )
 
 

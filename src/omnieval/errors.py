@@ -68,10 +68,6 @@ class MalformedReply(BackendError):
     """Backend reply missing required fields or not parseable."""
 
 
-class UnsupportedCapability(BackendError):
-    """Operation requested that the backend does not support."""
-
-
 class AttachmentError(BackendError):
     """An image attachment could not be read. Per-item, not retried."""
 

@@ -536,7 +536,11 @@ def run_ppl_eval(
 # --- run outputs -------------------------------------------------------------
 
 def _safe_segment(name: str) -> str:
-    return re.sub(r"[^\w.-]+", "_", name) or "unnamed"
+    """``name`` as one directory name under the output directory: each run of
+    characters other than word characters, ``.`` and ``-`` becomes ``_``, and
+    ``.`` and ``..`` become ``_`` and ``__``."""
+    segment = re.sub(r"[^\w.-]+", "_", name) or "unnamed"
+    return "_" * len(segment) if segment in (".", "..") else segment
 
 
 def records_to_jsonl(records: list[RunRecord]) -> str:

@@ -3,6 +3,7 @@ import http.server
 import json
 import threading
 import zlib
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -28,7 +29,6 @@ from omnieval.errors import (
     MalformedReply,
     RateLimited,
     TransportError,
-    UnsupportedCapability,
 )
 
 BUNDLE = PromptBundle(
@@ -123,11 +123,6 @@ class TestStubBackend:
         caps = StubBackend().capabilities()
         assert caps.supports_generation and caps.supports_loglikelihood and caps.supports_images
         assert caps.model_name == "stub"
-
-    def test_capability_gate(self):
-        stub = StubBackend(supports_generation=False)
-        with pytest.raises(UnsupportedCapability):
-            stub.generate(PING, GenerationOptions())
 
     def test_no_capabilities_rejected(self):
         with pytest.raises(ConfigError):
@@ -353,12 +348,6 @@ class TestHttpBackendErrors:
         with pytest.raises(ConfigError, match="^decoding_mode must be one of greedy, sample, got 'beam'$"):
             GenerationOptions(temperature=0.5, decoding_mode="beam")
 
-    def test_images_require_capability(self):
-        backend = self._backend(FakeTransport())
-        bundle = PromptBundle(None, (Turn("user", "x", attachments=("a.png",)),))
-        with pytest.raises(UnsupportedCapability):
-            backend.generate(bundle, GenerationOptions())
-
     def test_bearer_token_from_env(self, monkeypatch):
         monkeypatch.setenv("OMNIEVAL_API_KEY", "sk-test")
         transport = FakeTransport(
@@ -376,12 +365,57 @@ class TestHttpBackendErrors:
         backend.generate(PING, GenerationOptions())
         assert transport.calls[0][2]["Authorization"] == "Bearer sk-other"
 
+    def test_api_key_is_read_when_built(self, monkeypatch):
+        monkeypatch.delenv("OMNIEVAL_API_KEY", raising=False)
+        transport = FakeTransport(
+            body=json.dumps({"choices": [{"message": {"content": "ok"}, "finish_reason": "stop"}]})
+        )
+        backend = self._backend(transport)
+        monkeypatch.setenv("OMNIEVAL_API_KEY", "sk-late")
+        backend.generate(PING, GenerationOptions())
+        assert "Authorization" not in transport.calls[0][2]
+
+    @pytest.mark.parametrize("key", ["sk-abc\n", "sk\r\nX-Injected: 1", "sk-\r", "sk-\u20ac"])
+    def test_api_key_that_cannot_be_a_header_value_is_refused(self, monkeypatch, key):
+        monkeypatch.setenv("OMNIEVAL_API_KEY", key)
+        with pytest.raises(ConfigError, match="OMNIEVAL_API_KEY") as err:
+            self._backend(FakeTransport())
+        assert "sk" not in str(err.value)
+
+    def test_api_key_with_other_latin_1_characters_is_sent(self, monkeypatch):
+        monkeypatch.setenv("OMNIEVAL_API_KEY", "sk-\u00e9\t1")
+        transport = FakeTransport(
+            body=json.dumps({"choices": [{"message": {"content": "ok"}, "finish_reason": "stop"}]})
+        )
+        self._backend(transport).generate(PING, GenerationOptions())
+        assert transport.calls[0][2]["Authorization"] == "Bearer sk-\u00e9\t1"
+
+    @pytest.mark.parametrize("base_url", [
+        "http://127.0.0.1:1/v1 beta", "http://127.0.0.1:1/v1\x00", "http://127.0.0.1:1/v1\x7f",
+        "http://127.0.0.1:1/v1?a=b c", "http://127.0.0.1:1/v1?a=\x1b", "http://127.0.0.1:1/v1 ",
+        "http://127.0.0.1:1/\u20ac",
+    ])
+    def test_base_url_path_or_query_that_cannot_be_sent_is_refused(self, base_url):
+        with pytest.raises(ConfigError, match="base_url"):
+            HttpBackend(base_url, "m", transport=FakeTransport())
+
+    @pytest.mark.parametrize("base_url,path", [
+        ("http://test/v1/", "/v1/v1/completions"),
+        ("http://test/caf\u00e9", "/caf\u00e9/v1/completions"),
+        ("http://test/v1?a=b", "/v1?a=b/v1/completions"),
+        ("http://test/v1#a b", "/v1"),  # the fragment is never sent
+        ("http://test/v1\n", "/v1/v1/completions"),  # line breaks are dropped from a URL
+    ])
+    def test_base_url_that_can_be_sent_is_kept(self, base_url, path):
+        transport = FakeTransport(body=json.dumps(_echo_payload(["a", "b"], [None, -1.0], [0, 1])))
+        HttpBackend(base_url, "m", transport=transport).loglikelihood("a", "b")
+        parts = urlsplit(transport.calls[0][0])
+        assert parts.path + (f"?{parts.query}" if parts.query else "") == path
+
     def test_chat_only_configuration_mirrored(self):
         backend = HttpBackend("http://test", "m", supports_loglikelihood=False,
                               transport=FakeTransport())
         assert backend.capabilities().supports_loglikelihood is False
-        with pytest.raises(UnsupportedCapability):
-            backend.loglikelihood("context", "continuation")
 
     def test_empty_continuation_precondition(self):
         backend = HttpBackend("http://test", "m", transport=FakeTransport())

@@ -126,6 +126,12 @@ class TestEval:
             "images",
         ),
         "images_in_ppl_mode": ({"dataset": IMAGE_DATASET, "mode": "ppl"}, "images"),
+        "base_url_path_with_space": (
+            {"backend": {"type": "http", "base_url": "http://127.0.0.1:1/v1 beta", "model_name": "m"}}, "base_url"
+        ),
+        "base_url_query_with_control_character": (
+            {"backend": {"type": "http", "base_url": "http://127.0.0.1:1/v1?k=\x01", "model_name": "m"}}, "base_url"
+        ),
     }
 
     @pytest.mark.parametrize("extra,named", list(CONFIG_ERRORS.values()), ids=list(CONFIG_ERRORS))
@@ -161,6 +167,7 @@ class TestEval:
         ("record", "few_shot"), ("record", "category"), ("record", "cot_directive"), ("record", "language"),
         ("record", "domain"), ("record", "modality"),
         ("meta", "few_shot"), ("meta", "language"), ("meta", "domain"), ("meta", "modality"),
+        ("meta", "name"),
     ])
     def test_dataset_field_of_wrong_type(self, tmp_path, fixture_dataset_path, capsys, part, field):
         dataset = json.loads(fixture_dataset_path.read_text(encoding="utf-8"))

@@ -37,8 +37,7 @@ class TestLoadDataset:
 
     def test_bare_array_inherits_config_default(self, tmp_path):
         record = {"id": "r1", "instruction": "q", "choices": ["Paris", "Rome"], "answer": "A"}
-        defaults = DatasetManifest(name="", default_question_type=QuestionType.SINGLE_CHOICE)
-        manifest, items = load_dataset(write(tmp_path, [record]), defaults=defaults)
+        manifest, items = load_dataset(write(tmp_path, [record]), default_question_type=QuestionType.SINGLE_CHOICE)
         assert manifest.name == "ds"  # synthesized from the filename
         assert items[0].question_type is QuestionType.SINGLE_CHOICE
 
@@ -96,8 +95,7 @@ class TestLoadDataset:
 
     def test_deterministic(self, tmp_path):
         path = write(tmp_path, [GOOD_RECORD])
-        defaults = DatasetManifest(name="d")
-        assert load_dataset(path, defaults) == load_dataset(path, defaults)
+        assert load_dataset(path, QuestionType.SINGLE_CHOICE) == load_dataset(path, QuestionType.SINGLE_CHOICE)
 
 
 class TestValidateItem:

@@ -905,6 +905,28 @@ class TestWriteRunOutput:
         meta = json.loads((run_dir / "run_meta.json").read_text(encoding="utf-8"))
         assert meta["model"] == "org/model-7b"  # the true name survives in metadata
 
+    @pytest.mark.parametrize("dataset_name,model_name,segments", [
+        ("..", "stub", ("__", "stub")),
+        ("fixture", "..", ("fixture", "__")),
+        (".", ".", ("_", "_")),
+        ("...", "a..b", ("...", "a..b")),  # only the two names that leave a directory change
+        ("../x", "./", (".._x", "._")),
+    ])
+    def test_run_directory_stays_under_the_output(self, tmp_path, dataset_name, model_name, segments):
+        from omnieval.runner import write_run_output
+
+        output = tmp_path / "sub" / "runs"
+        manifest = DatasetManifest(name=dataset_name)
+        stub = StubBackend(model_name=model_name)
+        config = RunConfig(output_dir=str(output))
+        records = run_generation_eval([make_item(1)], stub, config, manifest)
+        run_dir = write_run_output(records, manifest, stub, config, "t0", "t1")
+        assert run_dir == output.joinpath(*segments)
+        assert (run_dir / "records.jsonl").exists()
+        assert [p.relative_to(tmp_path) for p in tmp_path.rglob("records.jsonl")] == [
+            Path("sub", "runs", *segments, "records.jsonl")
+        ]
+
 
     def test_failed_replace_keeps_previous_records(self, tmp_path, fixture_dataset_path,
                                                    fixture_replies, monkeypatch):
