@@ -6,7 +6,6 @@ answer extraction -> metric estimation -> aggregated reports.
 
 from .backends import (
     Backend,
-    BackendCapabilities,
     GenerationOptions,
     HttpBackend,
     LoglikelihoodResult,

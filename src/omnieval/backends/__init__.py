@@ -1,6 +1,5 @@
 from .base import (
     Backend,
-    BackendCapabilities,
     GenerationOptions,
     LoglikelihoodResult,
     ModelResponse,
@@ -10,7 +9,6 @@ from .stub import StubBackend
 
 __all__ = [
     "Backend",
-    "BackendCapabilities",
     "GenerationOptions",
     "LoglikelihoodResult",
     "ModelResponse",

@@ -108,30 +108,21 @@ class LoglikelihoodResult:
         return cls(data["total_logprob"], data["token_count"], data["continuation_chars"])
 
 
-@dataclass(frozen=True)
-class BackendCapabilities:
-    supports_generation: bool
-    supports_loglikelihood: bool
-    supports_images: bool
-    model_name: str
-
-    def __post_init__(self):
-        if not isinstance(self.model_name, str):
-            raise ConfigError(f"model_name must be a string, got {self.model_name!r}")
-        if not (self.supports_generation or self.supports_loglikelihood or self.supports_images):
-            raise ConfigError("a backend must support at least one capability")
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))
-
-
 class Backend(ABC):
     """Inference backend. Implementations must be safe for concurrent calls;
-    all per-request state lives in the request. ``capabilities()`` declares
-    what a run may ask; the runner refuses the rest before any call."""
+    all per-request state lives in the request. The ``supports_*`` flags
+    declare what a run may ask; the runner refuses the rest before any call."""
 
-    @abstractmethod
-    def capabilities(self) -> BackendCapabilities: ...
+    def __init__(self, model_name: str, supports_generation: bool, supports_loglikelihood: bool,
+                 supports_images: bool):
+        if not isinstance(model_name, str):
+            raise ConfigError(f"model_name must be a string, got {model_name!r}")
+        if not (supports_generation or supports_loglikelihood or supports_images):
+            raise ConfigError("a backend must support at least one capability")
+        self.model_name = model_name
+        self.supports_generation = supports_generation
+        self.supports_loglikelihood = supports_loglikelihood
+        self.supports_images = supports_images
 
     @abstractmethod
     def generate(self, bundle: PromptBundle, options: GenerationOptions) -> ModelResponse: ...

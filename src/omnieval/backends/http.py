@@ -31,7 +31,6 @@ from ..errors import (
 from ..prompts import PromptBundle
 from .base import (
     Backend,
-    BackendCapabilities,
     DecodingMode,
     FinishReason,
     GenerationOptions,
@@ -353,8 +352,9 @@ class HttpBackend(Backend):
     """OpenAI-compatible HTTP backend.
 
     ``transport`` is injectable for tests: a callable of
-    (url, body, headers, timeout_s) returning (status, headers, text). The
-    default keeps one connection per worker thread alive.
+    (url, body, headers, timeout_s) returning (status, headers, text), the
+    reply's header names lower-cased. The default keeps one connection per
+    worker thread alive.
     """
 
     def __init__(
@@ -391,22 +391,16 @@ class HttpBackend(Backend):
                                   "or a character outside Latin-1")
             self.headers["Authorization"] = f"Bearer {key}"
         self.base_url = base_url.rstrip("/")
-        self.model_name = model_name
         self.timeout_s = timeout_s
         self._transport = transport or _keepalive_transport
-        self._caps = BackendCapabilities(
-            supports_generation, supports_loglikelihood, supports_images, model_name
-        )
-
-    def capabilities(self) -> BackendCapabilities:
-        return self._caps
+        super().__init__(model_name, supports_generation, supports_loglikelihood, supports_images)
 
     def _post(self, endpoint: str, body: dict) -> dict:
         url = f"{self.base_url}{endpoint}"
         status, headers, text = self._transport(url, body, self.headers, self.timeout_s)
         if status == 429:
             try:
-                retry_after_s = float(headers.get("Retry-After") or headers.get("retry-after"))
+                retry_after_s = float(headers.get("retry-after"))
             except (TypeError, ValueError):
                 retry_after_s = math.nan
             # no hint, or one past the bound (nan, inf, a year): back off as usual

@@ -20,7 +20,6 @@ from ..errors import ConfigError
 from ..prompts import PromptBundle
 from .base import (
     Backend,
-    BackendCapabilities,
     FinishReason,
     GenerationOptions,
     LoglikelihoodResult,
@@ -75,9 +74,7 @@ class StubBackend(Backend):
         if type(char_logprob) not in (int, float) or not math.isfinite(char_logprob):
             raise ConfigError(f"char_logprob must be a finite number, got {char_logprob!r}")
         self.char_logprob = char_logprob
-        self._caps = BackendCapabilities(
-            supports_generation, supports_loglikelihood, supports_images, model_name
-        )
+        super().__init__(model_name, supports_generation, supports_loglikelihood, supports_images)
         self._failures = list(failures or [])
         self._delay_fn = delay_fn
         self._lock = threading.Lock()
@@ -85,9 +82,6 @@ class StubBackend(Backend):
         self.loglikelihood_calls = 0
         self._inflight = 0
         self.max_inflight = 0
-
-    def capabilities(self) -> BackendCapabilities:
-        return self._caps
 
     def _enter(self, kind: str):
         with self._lock:

@@ -137,7 +137,7 @@ def cmd_eval(args) -> int:
     finished = datetime.now(timezone.utc).isoformat()
 
     run_dir = write_run_output(records, manifest, backend, config, started, finished)
-    report = aggregate(records, manifest, model_name=backend.capabilities().model_name)
+    report = aggregate(records, manifest, model_name=backend.model_name)
     print(report_to_markdown(report), end="")
     print(f"records written to {run_dir}", file=sys.stderr)
     return EXIT_ITEM_ERRORS if report.error_count else EXIT_OK

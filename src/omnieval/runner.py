@@ -373,9 +373,12 @@ def _ppl_record(item: EvalItem, digest: str, results: list[LoglikelihoodResult])
         for i, result in enumerate(results)
     ]
     # ties break to the lowest index
-    predicted = LETTERS[max(range(len(results)), key=lambda i: (results[i].total_logprob, -i))]
-    predicted_norm = LETTERS[max(range(len(results)), key=lambda i: (results[i].per_char_logprob, -i))]
-    extracted = ExtractedAnswer(predicted, ExtractionStatus.EXTRACTED, "ppl_argmax", predicted)
+    best = LETTERS[max(range(len(results)), key=lambda i: (results[i].total_logprob, -i))]
+    best_norm = LETTERS[max(range(len(results)), key=lambda i: (results[i].per_char_logprob, -i))]
+    # a multiple_choice answer is a letter set, so its argmax is a set of one letter
+    multi = item.question_type is QuestionType.MULTIPLE_CHOICE
+    predicted, predicted_norm = ((best,), (best_norm,)) if multi else (best, best_norm)
+    extracted = ExtractedAnswer(predicted, ExtractionStatus.EXTRACTED, "ppl_argmax", best)
     outcomes = (
         QuestionOutcome("accuracy", score_choice_exact(extracted, item.answer)),
         QuestionOutcome("accuracy_norm", 1.0 if predicted_norm == item.answer else 0.0),
@@ -402,20 +405,23 @@ def _run(
     task per item on worker threads. Only the task's body after the prompt
     is rendered depends on the mode."""
     items = items[: config.limit]
-    caps = backend.capabilities()
     ppl = mode == "ppl"
     capability = "loglikelihood" if ppl else "generation"
-    if not getattr(caps, f"supports_{capability}"):
-        raise ConfigError(f"backend {caps.model_name!r} does not support {capability}")
+    if not getattr(backend, f"supports_{capability}"):
+        raise ConfigError(f"backend {backend.model_name!r} does not support {capability}")
     extractor = config.extractor
-    if extractor is not None and not extractor.capabilities().supports_generation:
+    if extractor is not None and not extractor.supports_generation:
         raise ConfigError("extractor backend does not support generation")
     for item in items:
         if ppl and not item.choices:
             raise ConfigError(f"ppl mode requires choices on every item; {item.id!r} has none")
+        # the argmax is a letter, which no other type's answer can equal
+        if ppl and item.question_type not in (QuestionType.SINGLE_CHOICE, QuestionType.MULTIPLE_CHOICE):
+            raise ConfigError("ppl mode scores only single_choice and multiple_choice items; "
+                              f"{item.id!r} is {item.question_type.value}")
         # a ppl context is text only, so its images would be dropped without a word
-        if item.images and (ppl or not caps.supports_images):
-            taker = "ppl mode" if ppl else f"backend {caps.model_name!r}"
+        if item.images and (ppl or not backend.supports_images):
+            taker = "ppl mode" if ppl else f"backend {backend.model_name!r}"
             raise ConfigError(f"{taker} does not take images; {item.id!r} has some")
     cache = ResponseCache(config.cache_dir) if config.cache_dir else None
     metrics = manifest.metrics if manifest is not None else config.default_metrics
@@ -432,11 +438,11 @@ def _run(
         return response
 
     # loglikelihood requests carry no generation options, so their keys hold none
-    keys = CacheKeys(caps.model_name, None if ppl else config.generation.to_dict())
+    keys = CacheKeys(backend.model_name, None if ppl else config.generation.to_dict())
     if extractor is not None:
         # the extractor's generate call, cached and retried like the model's;
         # model_extract always passes EXTRACTION_OPTIONS
-        extract_keys = CacheKeys(extractor.capabilities().model_name, EXTRACTION_OPTIONS.to_dict())
+        extract_keys = CacheKeys(extractor.model_name, EXTRACTION_OPTIONS.to_dict())
         extract = lambda bundle, options: call(extract_keys.generate(bundle), "generate",
                                                extractor.generate, bundle, options)
 
@@ -611,17 +617,17 @@ def write_run_output(
     """Write records.jsonl and run_meta.json under output_dir/dataset/model."""
     if config.output_dir is None:
         raise ConfigError("output_dir is not configured")
-    caps = backend.capabilities()
-    run_dir = Path(config.output_dir) / _safe_segment(manifest.name) / _safe_segment(caps.model_name)
+    run_dir = Path(config.output_dir) / _safe_segment(manifest.name) / _safe_segment(backend.model_name)
     run_dir.mkdir(parents=True, exist_ok=True)
     write_text_atomic(run_dir / "records.jsonl", records_to_jsonl(records))
     meta = {
         "dataset": manifest.name,
-        "model": caps.model_name,
+        "model": backend.model_name,
         "mode": config.mode,
         "started_at": started_at,
         "finished_at": finished_at,
-        "capabilities": caps.to_dict(),
+        "capabilities": {name: getattr(backend, name) for name in
+                         ("model_name", "supports_generation", "supports_loglikelihood", "supports_images")},
         "config": {
             "mode": config.mode,
             "num_shots": config.num_shots,

@@ -120,9 +120,9 @@ class TestStubBackend:
         assert whole == pytest.approx(parts)
 
     def test_capabilities(self):
-        caps = StubBackend().capabilities()
-        assert caps.supports_generation and caps.supports_loglikelihood and caps.supports_images
-        assert caps.model_name == "stub"
+        stub = StubBackend()
+        assert stub.supports_generation and stub.supports_loglikelihood and stub.supports_images
+        assert stub.model_name == "stub"
 
     def test_no_capabilities_rejected(self):
         with pytest.raises(ConfigError):
@@ -295,7 +295,8 @@ class TestReplyParsing:
 class FakeTransport:
     def __init__(self, status=200, headers=None, body=None):
         self.status = status
-        self.headers = headers or {}
+        # a transport hands back reply header names lower-cased
+        self.headers = {name.lower(): value for name, value in (headers or {}).items()}
         self.body = body if body is not None else "{}"
         self.calls = []
 
@@ -317,7 +318,7 @@ class TestHttpBackendErrors:
 
     @pytest.mark.parametrize("hint", ["inf", "1e400", "nan", "soon", "1e10", "9223372035", "1e9", "301"])
     def test_retry_after_that_is_no_number_of_seconds_is_ignored(self, hint):
-        limited = (429, {"Retry-After": hint}, "")
+        limited = (429, {"retry-after": hint}, "")
         ok = (200, {}, json.dumps({"choices": [{"message": {"content": "ok"}, "finish_reason": "stop"}]}))
         replies = iter([limited, limited, ok])
         backend = HttpBackend("http://test", "m", transport=lambda url, body, headers, timeout_s: next(replies))
@@ -415,7 +416,8 @@ class TestHttpBackendErrors:
     def test_chat_only_configuration_mirrored(self):
         backend = HttpBackend("http://test", "m", supports_loglikelihood=False,
                               transport=FakeTransport())
-        assert backend.capabilities().supports_loglikelihood is False
+        assert backend.supports_loglikelihood is False
+        assert backend.supports_generation is True and backend.supports_images is False
 
     def test_empty_continuation_precondition(self):
         backend = HttpBackend("http://test", "m", transport=FakeTransport())

@@ -1,14 +1,24 @@
 import json
 import os
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
-from omnieval import ExtractionRule, GenerationOptions, PromptTemplate, RunConfig
+from omnieval import (
+    ExtractionRule,
+    GenerationOptions,
+    PromptTemplate,
+    RunConfig,
+    StubBackend,
+    load_dataset,
+    run_generation_eval,
+)
 from omnieval.cli import _BACKENDS, main
+from omnieval.errors import BackendRefused
 from omnieval.estimators import METRIC_REGISTRY
+from omnieval.runner import records_to_jsonl
 
 from conftest import FIXTURE_REPLIES
 
@@ -132,6 +142,12 @@ class TestEval:
         "base_url_query_with_control_character": (
             {"backend": {"type": "http", "base_url": "http://127.0.0.1:1/v1?k=\x01", "model_name": "m"}}, "base_url"
         ),
+        "model_name_number": ({"backend": {"type": "stub", "model_name": 5}}, "model_name"),
+        "http_model_name_number": (
+            {"backend": {"type": "http", "base_url": "http://127.0.0.1:1", "model_name": 5}}, "model_name"
+        ),
+        # q06, the first item past the choice questions, is yes_no and has no choices
+        "ppl_on_the_whole_fixture": ({"mode": "ppl"}, "q06"),
     }
 
     @pytest.mark.parametrize("extra,named", list(CONFIG_ERRORS.values()), ids=list(CONFIG_ERRORS))
@@ -445,6 +461,31 @@ class TestScore:
         assert code == 0
         assert "| __all__ | 1.0000 |" in capsys.readouterr().out
         assert out_path.read_text(encoding="utf-8") == records.read_text(encoding="utf-8")
+
+    def test_errored_and_unmatched_records_are_kept_as_they_are(self, tmp_path, fixture_dataset_path, caplog):
+        manifest, items = load_dataset(fixture_dataset_path)
+        stub = StubBackend(scripted=FIXTURE_REPLIES, failures=[BackendRefused("refused")])
+        records = run_generation_eval(items, stub, RunConfig(concurrency_limit=1), manifest)
+        assert records[0].error == "BackendRefused: refused"
+        # a record of an item that the dataset no longer holds
+        orphan = replace(records[0], item_id="gone", response_text="The answer is A.", error=None)
+        path = tmp_path / "records.jsonl"
+        path.write_text(records_to_jsonl(records + [orphan]), encoding="utf-8")
+        out_path = tmp_path / "rescored.jsonl"
+        code = main(["score", "--records", str(path), "--dataset", str(fixture_dataset_path),
+                     "--out", str(out_path)])
+        assert code == 3  # the errored record is still an error
+        assert out_path.read_bytes() == path.read_bytes()
+        assert "record gone has no matching dataset item; kept as-is" in caplog.text
+
+    def test_ppl_records_pass_through_unchanged(self, tmp_path, fixture_dataset_path):
+        config = make_config(tmp_path, fixture_dataset_path, mode="ppl")
+        assert main(["eval", "--config", str(config), "--limit", "5"]) == 0
+        records = tmp_path / "runs" / "fixture10" / "stub" / "records.jsonl"
+        out_path = tmp_path / "rescored.jsonl"
+        assert main(["score", "--records", str(records), "--dataset", str(fixture_dataset_path),
+                     "--out", str(out_path)]) == 0
+        assert out_path.read_bytes() == records.read_bytes()
 
 
 class TestReportCommand:

@@ -23,7 +23,7 @@ from omnieval import (
     with_retries,
 )
 from omnieval.backends.base import FinishReason, ModelResponse
-from omnieval.dataset import DatasetManifest, EvalItem
+from omnieval.dataset import DatasetManifest, EvalItem, validate_item
 from omnieval.errors import BackendRefused, ConfigError, RateLimited, TransportError
 from omnieval.prompts import PromptBundle, Turn
 from omnieval.runner import (
@@ -594,9 +594,32 @@ class TestPplEval:
         norms = [c["normalized_logprob"] for c in records[0].choice_logprobs]
         assert norms == pytest.approx([-2.0, -0.1])
 
+    def test_multiple_choice_argmax_is_a_set_of_one_letter(self):
+        # "B" is canonicalized to the letter set ("B",), which the argmax must equal
+        item = validate_item({"id": "m1", "instruction": "pick all that apply", "question_type": "multiple_choice",
+                              "choices": ["red", "green", "blue"], "answer": "B"}, DatasetManifest(name="d"))
+        stub = StubBackend(logprob_table={" red": (-4.0, 1), " green": (-2.0, 1), " blue": (-9.0, 1)})
+        record = run_ppl_eval([item], stub, RunConfig(mode="ppl"))[0]
+        assert record.extracted.value == ("B",) and record.extracted.raw_span == "B"
+        assert {o.metric_name: o.score for o in record.outcomes} == {"accuracy": 1.0, "accuracy_norm": 1.0}
+        assert record.to_dict()["extracted"]["value"] == ["B"]
+
     def test_requires_choices(self):
         with pytest.raises(ConfigError):
             run_ppl_eval([make_item(1)], StubBackend(), RunConfig(mode="ppl"))
+
+    @pytest.mark.parametrize("qtype,answer", [(QuestionType.YES_NO, "yes"), (QuestionType.FILL_BLANK, "A"),
+                                              (QuestionType.FREE_OPEN, "A")])
+    def test_refuses_types_a_letter_cannot_answer(self, tmp_path, qtype, answer):
+        items = [choice_item(1, ["red", "green"], "A"),
+                 make_item(2, question_type=qtype, choices=("yes", "no"), answer=answer)]
+        stub = StubBackend()
+        config = RunConfig(mode="ppl", cache_dir=str(tmp_path / "cache"))
+        refusal = f"only single_choice and multiple_choice items; 'it002' is {qtype.value}$"
+        with pytest.raises(ConfigError, match=refusal):
+            run_ppl_eval(items, stub, config)
+        assert stub.loglikelihood_calls == 0
+        assert not (tmp_path / "cache").exists()
 
     def test_requires_loglikelihood_capability(self):
         backend = StubBackend(supports_loglikelihood=False)
@@ -904,6 +927,15 @@ class TestWriteRunOutput:
         assert (run_dir / "records.jsonl").exists()
         meta = json.loads((run_dir / "run_meta.json").read_text(encoding="utf-8"))
         assert meta["model"] == "org/model-7b"  # the true name survives in metadata
+
+    def test_run_meta_holds_the_backend_capabilities(self, tmp_path):
+        manifest = DatasetManifest(name="d")
+        stub = StubBackend(model_name="m", supports_loglikelihood=False)
+        config = RunConfig(output_dir=str(tmp_path / "runs"))
+        run_dir = write_run_output([], manifest, stub, config, "t0", "t1")
+        meta = json.loads((run_dir / "run_meta.json").read_text(encoding="utf-8"))
+        assert meta["capabilities"] == {"model_name": "m", "supports_generation": True,
+                                        "supports_loglikelihood": False, "supports_images": True}
 
     @pytest.mark.parametrize("dataset_name,model_name,segments", [
         ("..", "stub", ("__", "stub")),
