@@ -33,7 +33,7 @@ from .filters import (
     normalize_text,
 )
 from .prompts import PromptBundle, PromptTemplate, Turn, flatten_bundle, render_choice_block, render_prompt
-from .report import MetricReport, aggregate, emit_report
+from .report import MetricReport, aggregate
 from .runner import (
     ResponseCache,
     RunConfig,

@@ -2,7 +2,7 @@
 
 Subcommands:
   eval      run a dataset against a backend and write records + reports
-  score     re-run extraction and scoring over stored raw responses
+  score     rebuild stored records from their replies or loglikelihoods
   validate  schema-check a dataset file
   report    aggregate stored runs into md/csv/jsonl reports
 
@@ -13,6 +13,7 @@ finished but some items errored (outputs are still written).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -22,22 +23,19 @@ from pathlib import Path
 from .backends import GenerationOptions, HttpBackend, StubBackend
 from .dataset import DatasetManifest, load_dataset
 from .errors import ConfigError, EmptyDataset, EvalKitError, ParseError, SchemaError
-from .filters import ExtractionRule, ExtractionStatus
+from .filters import ExtractionRule
 from .prompts import PromptTemplate
 from .report import EMITTERS, aggregate, report_to_markdown
 from .runner import (
     RunConfig,
-    RunRecord,
     read_records,
     records_to_jsonl,
+    rescore,
     run_generation_eval,
     run_ppl_eval,
-    score_response,
     write_run_output,
     write_text_atomic,
 )
-
-logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -146,27 +144,7 @@ def cmd_eval(args) -> int:
 def cmd_score(args) -> int:
     config = build_run_config(_load_json(args.config) if args.config else {})
     manifest, items = load_dataset(args.dataset, config.default_question_type, config.default_metrics)
-    by_id = {item.id: item for item in items}
-    stored = read_records(args.records)
-
-    rescored: list[RunRecord] = []
-    for record in stored:
-        item = by_id.get(record.item_id)
-        if item is None:
-            logger.warning("record %s has no matching dataset item; kept as-is", record.item_id)
-            rescored.append(record)
-            continue
-        if record.error is not None or record.response_text is None:
-            rescored.append(record)
-            continue
-        answer = record.extracted
-        fallback = None
-        if answer is not None and answer.status is ExtractionStatus.MODEL_EXTRACTED:
-            # the extractor's answer came from a backend call, which score never makes
-            fallback = lambda: answer
-        rescored.append(score_response(item, record.prompt_digest, record.response_text,
-                                       config, manifest.metrics, fallback))
-
+    rescored = rescore(read_records(args.records), items, config, manifest.metrics)
     if args.out:
         write_text_atomic(args.out, records_to_jsonl(rescored))
     report = aggregate(rescored, manifest, model_name=args.model or "rescored")
@@ -204,7 +182,10 @@ def cmd_report(args) -> int:
                 raise ParseError(f"{meta_path}: not a JSON object")
         # a run_meta.json written before runs stored their metrics reports the default ones
         metrics = {"metrics": meta["metrics"]} if "metrics" in meta else {}
-        manifest = DatasetManifest(name=meta.get("dataset", "unknown"), **metrics)
+        try:
+            manifest = DatasetManifest(name=meta.get("dataset", "unknown"), **metrics)
+        except SchemaError as exc:
+            raise SchemaError(f"{meta_path}: {exc}") from exc
         records = read_records(record_file)
         chunks.append(emitter(aggregate(records, manifest, model_name=meta.get("model", "unknown"))))
     text = "\n".join(chunks) if args.format == "md" else "".join(chunks)
@@ -215,6 +196,7 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="omnieval", description="LLM evaluation harness")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -234,7 +216,7 @@ def _parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--cache", dest="cache_dir")
     p_eval.set_defaults(fn=cmd_eval)
 
-    p_score = sub.add_parser("score", help="re-filter and re-score stored responses")
+    p_score = sub.add_parser("score", help="rebuild stored records against a dataset")
     p_score.add_argument("--records", required=True)
     p_score.add_argument("--dataset", required=True)
     p_score.add_argument("--config")

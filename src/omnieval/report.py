@@ -18,7 +18,7 @@ from .dataset import DatasetManifest
 from .errors import EmptyRun
 from .estimators import MetricValue, candidate_text, corpus_bleu, reference_texts
 from .filters import ExtractionStatus
-from .runner import RunRecord, write_text_atomic
+from .runner import RunRecord
 
 OVERALL = "__all__"
 UNCATEGORIZED = "uncategorized"
@@ -136,36 +136,6 @@ def report_to_jsonl(report: MetricReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_report_jsonl(text: str) -> MetricReport:
-    """Inverse of report_to_jsonl."""
-    summary = None
-    overall: list[MetricValue] = []
-    by_category: dict[str, list[MetricValue]] = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        if obj["type"] == "summary":
-            summary = obj
-        else:
-            mv = MetricValue(obj["metric"], obj["value"], obj["support"])
-            if obj["category"] == OVERALL:
-                overall.append(mv)
-            else:
-                by_category.setdefault(obj["category"], []).append(mv)
-    if summary is None:
-        raise EmptyRun("report stream has no summary line")
-    return MetricReport(
-        dataset=summary["dataset"],
-        model=summary["model"],
-        overall=tuple(overall),
-        by_category={k: tuple(v) for k, v in by_category.items()},
-        extraction_failure_rate=summary["extraction_failure_rate"],
-        item_count=summary["item_count"],
-        error_count=summary["error_count"],
-    )
-
-
 def report_to_markdown(report: MetricReport) -> str:
     names = [mv.name for mv in report.overall]
     out = [
@@ -204,10 +174,3 @@ EMITTERS = {
     "csv": report_to_csv,
 }
 
-
-def emit_report(report: MetricReport, format: str, destination) -> None:
-    """Render the report and write it to ``destination``. IO failures raise
-    OSError (IOError)."""
-    if format not in EMITTERS:
-        raise ValueError(f"unknown report format {format!r}")
-    write_text_atomic(destination, EMITTERS[format](report))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import threading
@@ -136,6 +137,12 @@ class RunRecord:
             )
         truth = data.get("ground_truth")
         logprobs = data.get("choice_logprobs")
+        for i, choice in enumerate(logprobs or ()):
+            for name in ("total_logprob", "normalized_logprob"):
+                value = choice[name]
+                # type(), not isinstance(): a bool is an int, but true is no logprob
+                if type(value) not in (int, float) or not math.isfinite(value):
+                    raise ValueError(f"choice_logprobs[{i}].{name} must be a finite number, got {value!r}")
         return cls(
             item_id=data["item_id"],
             prompt_digest=data.get("prompt_digest", ""),
@@ -367,14 +374,14 @@ def score_response(
     )
 
 
-def _ppl_record(item: EvalItem, digest: str, results: list[LoglikelihoodResult]) -> RunRecord:
-    per_choice = [
-        {"letter": LETTERS[i], **result.to_dict(), "normalized_logprob": result.per_char_logprob}
-        for i, result in enumerate(results)
-    ]
+def _ppl_record(item: EvalItem, digest: str, per_choice: list[dict] | tuple[dict, ...]) -> RunRecord:
+    """Score the argmax of the per-choice loglikelihoods, which the record
+    stores as ``choice_logprobs``: the one path that ``eval`` and ``score``
+    share in ppl mode."""
+    indices = range(len(per_choice))
     # ties break to the lowest index
-    best = LETTERS[max(range(len(results)), key=lambda i: (results[i].total_logprob, -i))]
-    best_norm = LETTERS[max(range(len(results)), key=lambda i: (results[i].per_char_logprob, -i))]
+    best = LETTERS[max(indices, key=lambda i: (per_choice[i]["total_logprob"], -i))]
+    best_norm = LETTERS[max(indices, key=lambda i: (per_choice[i]["normalized_logprob"], -i))]
     # a multiple_choice answer is a letter set, so its argmax is a set of one letter
     multi = item.question_type is QuestionType.MULTIPLE_CHOICE
     predicted, predicted_norm = ((best,), (best_norm,)) if multi else (best, best_norm)
@@ -458,7 +465,10 @@ def _run(
                 digest, choice_keys = keys.ppl(context, continuations)
                 results = [call(key, "loglikelihood", backend.loglikelihood, context, continuation)
                            for key, continuation in zip(choice_keys, continuations)]
-                return _ppl_record(item, digest, results)
+                return _ppl_record(item, digest, [
+                    {"letter": LETTERS[i], **result.to_dict(), "normalized_logprob": result.per_char_logprob}
+                    for i, result in enumerate(results)
+                ])
             digest = keys.generate(bundle)
             text = call(digest, "generate", backend.generate, bundle, config.generation).text
             fallback = None
@@ -537,6 +547,32 @@ def run_ppl_eval(
     is scored separately as accuracy_norm. Ties break to the lowest index.
     """
     return _run("ppl", items, backend, config, manifest)
+
+
+def rescore(records: list[RunRecord], items: list[EvalItem], config: RunConfig,
+            metrics: tuple[str, ...]) -> list[RunRecord]:
+    """Rebuild each stored record against its item with the builder that
+    ``eval`` used, from the stored reply or choice loglikelihoods, without a
+    backend call. An errored record, or one whose item is gone, is kept."""
+    by_id = {item.id: item for item in items}
+    rescored = []
+    for record in records:
+        item = by_id.get(record.item_id)
+        if item is None:
+            logger.warning("record %s has no matching dataset item; kept as-is", record.item_id)
+        elif record.error is not None:
+            pass  # what the record holds is the item's failure
+        elif record.response_text is not None:
+            answer = record.extracted
+            fallback = None
+            if answer is not None and answer.status is ExtractionStatus.MODEL_EXTRACTED:
+                # the extractor's answer came from a backend call, which score never makes
+                fallback = lambda answer=answer: answer
+            record = score_response(item, record.prompt_digest, record.response_text, config, metrics, fallback)
+        elif record.choice_logprobs is not None:
+            record = _ppl_record(item, record.prompt_digest, record.choice_logprobs)
+        rescored.append(record)
+    return rescored
 
 
 # --- run outputs -------------------------------------------------------------

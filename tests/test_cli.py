@@ -411,21 +411,23 @@ class TestScore:
         assert out_path.read_bytes() == records.read_bytes()
 
     @pytest.mark.parametrize(
-        "damage,message",
+        "mode,damage,message",
         [
-            (lambda text: text[:-20], "line 10: not a record: Unterminated string"),
-            (lambda text: text + "[1, 2]\n", "line 11: not a record: expected a JSON object"),
-            (lambda text: text + '{"prompt_digest": "d"}\n',
+            ("generate", lambda text: text[:-20], "line 10: not a record: Unterminated string"),
+            ("generate", lambda text: text + "[1, 2]\n", "line 11: not a record: expected a JSON object"),
+            ("generate", lambda text: text + '{"prompt_digest": "d"}\n',
              "line 11: not a record: expected a JSON object"),
-            (lambda text: text.replace('"status":"extracted"', '"status":"bogus"', 1),
+            ("generate", lambda text: text.replace('"status":"extracted"', '"status":"bogus"', 1),
              "line 1: not a record: 'bogus' is not a valid ExtractionStatus"),
-            (lambda text: "\udcff" + text, "line 1: not a record: 'utf-8' codec can't decode"),
+            ("generate", lambda text: "\udcff" + text, "line 1: not a record: 'utf-8' codec can't decode"),
+            ("ppl", lambda text: re.sub(r'"total_logprob":[^,}]+', '"total_logprob":"x"', text, count=1),
+             "line 1: not a record: choice_logprobs[0].total_logprob must be a finite number, got 'x'"),
         ],
-        ids=["truncated", "not_an_object", "no_item_id", "bad_status", "not_utf8"],
+        ids=["truncated", "not_an_object", "no_item_id", "bad_status", "not_utf8", "bad_choice_logprob"],
     )
-    def test_unreadable_records(self, tmp_path, fixture_dataset_path, capsys, damage, message):
-        config = make_config(tmp_path, fixture_dataset_path, replies=FIXTURE_REPLIES)
-        main(["eval", "--config", str(config)])
+    def test_unreadable_records(self, tmp_path, fixture_dataset_path, capsys, mode, damage, message):
+        config = make_config(tmp_path, fixture_dataset_path, replies=FIXTURE_REPLIES, mode=mode)
+        main(["eval", "--config", str(config)] + (["--limit", "5"] if mode == "ppl" else []))
         records = tmp_path / "runs" / "fixture10" / "stub" / "records.jsonl"
         damaged = damage(records.read_text(encoding="utf-8"))
         records.write_bytes(damaged.encode("utf-8", errors="surrogateescape"))
@@ -479,6 +481,7 @@ class TestScore:
         assert "record gone has no matching dataset item; kept as-is" in caplog.text
 
     def test_ppl_records_pass_through_unchanged(self, tmp_path, fixture_dataset_path):
+        # rebuilt from their stored choice_logprobs, against an unchanged dataset
         config = make_config(tmp_path, fixture_dataset_path, mode="ppl")
         assert main(["eval", "--config", str(config), "--limit", "5"]) == 0
         records = tmp_path / "runs" / "fixture10" / "stub" / "records.jsonl"
@@ -487,6 +490,28 @@ class TestScore:
                      "--out", str(out_path)]) == 0
         assert out_path.read_bytes() == records.read_bytes()
 
+    def test_ppl_records_follow_a_corrected_answer_key(self, tmp_path, fixture_dataset_path, capsys):
+        config = make_config(tmp_path, fixture_dataset_path, mode="ppl")
+        assert main(["eval", "--config", str(config), "--limit", "5"]) == 0
+        records = tmp_path / "runs" / "fixture10" / "stub" / "records.jsonl"
+        stored = records.read_text(encoding="utf-8").splitlines()
+        q01 = json.loads(stored[0])
+        assert (q01["item_id"], q01["ground_truth"], q01["extracted"]["value"]) == ("q01", "A", "B")
+        dataset = json.loads(fixture_dataset_path.read_text(encoding="utf-8"))
+        dataset["data"][0]["answer"] = "B"
+        corrected = tmp_path / "corrected.json"
+        corrected.write_text(json.dumps(dataset), encoding="utf-8")
+        out_path = tmp_path / "rescored.jsonl"
+        capsys.readouterr()
+        assert main(["score", "--records", str(records), "--dataset", str(corrected),
+                     "--out", str(out_path)]) == 0
+        rescored = out_path.read_text(encoding="utf-8").splitlines()
+        q01_after = json.loads(rescored[0])
+        assert q01_after["ground_truth"] == "B"
+        assert q01_after["outcomes"][0] == {"metric": "accuracy", "score": 1.0}
+        assert q01_after["choice_logprobs"] == q01["choice_logprobs"]
+        assert rescored[1:] == stored[1:]
+        assert "| __all__ | 0.2000 |" in capsys.readouterr().out  # was 0: q01 is right now, of five
 
 class TestReportCommand:
     def _run(self, tmp_path, fixture_dataset_path):
@@ -518,15 +543,21 @@ class TestReportCommand:
         assert lines[0]["type"] == "summary"
         assert lines[0]["extraction_failure_rate"] == pytest.approx(0.1)
 
-    def test_unreadable_run_meta(self, tmp_path, fixture_dataset_path, capsys):
+    @pytest.mark.parametrize("damage,message", [
+        (lambda meta: "{not json", "not JSON"),
+        (lambda meta: json.dumps({**meta, "metrics": "accuracy"}),
+         "bad field: meta.metrics: must be a list of metric names, got 'accuracy'"),
+        (lambda meta: json.dumps({**meta, "metrics": ["nope"]}), "manifest 'fixture10': unknown metric 'nope' ("),
+    ], ids=["not_json", "metrics_not_a_list", "unknown_metric"])
+    def test_unreadable_run_meta(self, tmp_path, fixture_dataset_path, capsys, damage, message):
         runs = self._run(tmp_path, fixture_dataset_path)
         meta_path = runs / "fixture10" / "stub" / "run_meta.json"
-        meta_path.write_text("{not json", encoding="utf-8")
+        meta_path.write_text(damage(json.loads(meta_path.read_text(encoding="utf-8"))), encoding="utf-8")
         capsys.readouterr()
         assert main(["report", "--runs", str(runs)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert f"{meta_path}: not JSON" in err
+        assert err.startswith(f"dataset error: {meta_path}: {message}")
 
     def test_run_meta_not_an_object(self, tmp_path, fixture_dataset_path, capsys):
         runs = self._run(tmp_path, fixture_dataset_path)

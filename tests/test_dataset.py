@@ -98,6 +98,55 @@ class TestLoadDataset:
         assert load_dataset(path, QuestionType.SINGLE_CHOICE) == load_dataset(path, QuestionType.SINGLE_CHOICE)
 
 
+FREE_TEXT = {"id": "r1", "instruction": "Ocean?", "question_type": "fill_blank"}
+MULTI = {**GOOD_RECORD, "question_type": "multiple_choice"}
+YES_NO = {"id": "r1", "instruction": "Is water wet?", "question_type": "yes_no"}
+NO_CHOICES = {key: value for key, value in GOOD_RECORD.items() if key != "choices"}
+NO_ANSWER = {key: value for key, value in GOOD_RECORD.items() if key != "answer"}
+
+
+@pytest.mark.parametrize("payload,error,message", [
+    ([GOOD_RECORD, {**GOOD_RECORD, "id": "r2"}, {**GOOD_RECORD, "id": "r3"}, "r4"],
+     SchemaError, "record at index 3: not an object"),
+    ([{**GOOD_RECORD, "id": ""}], SchemaError, "record at index 0: missing field: id"),
+    ([{**GOOD_RECORD, "question_type": "essay"}], SchemaError,
+     "record 'r1' (index 0): bad field: question_type: 'essay'"),
+    ([NO_CHOICES], SchemaError, "record 'r1' (index 0): missing field: choices"),
+    ([NO_ANSWER], SchemaError, "record 'r1' (index 0): missing field: answer"),
+    ([{**GOOD_RECORD, "answer": None}], SchemaError, "record 'r1' (index 0): missing field: answer"),
+    ([{**FREE_TEXT, "answer": "  "}], SchemaError, "record 'r1' (index 0): missing field: answer"),
+    ([{**GOOD_RECORD, "images": "cat.png"}], SchemaError,
+     "record 'r1' (index 0): bad field: images: must be a list of paths"),
+    ([{**GOOD_RECORD, "answer": "C"}], SchemaError,
+     "record 'r1' (index 0): bad field: answer: 'C' is not a letter within the 2 choices"),
+    ([{**GOOD_RECORD, "answer": 1}], SchemaError,
+     "record 'r1' (index 0): bad field: answer: 1 is not a letter within the 2 choices"),
+    ([{**MULTI, "answer": "AZ"}], SchemaError,
+     "record 'r1' (index 0): bad field: answer: 'AZ' is not a letter set within the 2 choices"),
+    ([{**MULTI, "answer": 5}], SchemaError,
+     "record 'r1' (index 0): bad field: answer: 5 is not a letter set within the 2 choices"),
+    ([{**YES_NO, "answer": "maybe"}], SchemaError,
+     "record 'r1' (index 0): bad field: answer: 'maybe' does not normalize to yes or no"),
+    ([{**FREE_TEXT, "answer": 5}], SchemaError,
+     "record 'r1' (index 0): bad field: answer: expected text or a list of texts, got 5"),
+    ([{**GOOD_RECORD, "few_shot": [{"answer": "A"}]}], SchemaError,
+     "record 'r1' (index 0): missing field: few_shot[0].instruction"),
+    ({"meta": {}, "data": {"r1": GOOD_RECORD}}, ParseError,
+     "{path}: object form requires a 'meta' object and a 'data' array"),
+    ({"meta": [], "data": [GOOD_RECORD]}, ParseError,
+     "{path}: object form requires a 'meta' object and a 'data' array"),
+    ("r1", ParseError, "{path}: top level must be an array or an object"),
+], ids=["not_an_object", "blank_id", "unknown_question_type", "choices_missing", "answer_missing",
+        "answer_null", "answer_blank", "images_not_a_list", "letter_out_of_range", "letter_not_a_string",
+        "letter_set_out_of_range", "letter_set_not_text", "yes_no_other", "free_text_not_text",
+        "exemplar_without_instruction", "data_not_an_array", "meta_not_an_object", "top_level_string"])
+def test_rejection_message(tmp_path, payload, error, message):
+    path = write(tmp_path, payload)
+    with pytest.raises(error) as err:
+        load_dataset(path)
+    assert str(err.value) == message.replace("{path}", str(path))
+
+
 class TestValidateItem:
     MANIFEST = DatasetManifest(name="m")
 

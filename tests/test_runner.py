@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -24,7 +25,7 @@ from omnieval import (
 )
 from omnieval.backends.base import FinishReason, ModelResponse
 from omnieval.dataset import DatasetManifest, EvalItem, validate_item
-from omnieval.errors import BackendRefused, ConfigError, RateLimited, TransportError
+from omnieval.errors import BackendRefused, ConfigError, ParseError, RateLimited, TransportError
 from omnieval.prompts import PromptBundle, Turn
 from omnieval.runner import (
     CacheKeys,
@@ -32,7 +33,9 @@ from omnieval.runner import (
     RunRecord,
     bundle_request,
     canonical_json,
+    read_records,
     records_to_jsonl,
+    rescore,
     write_run_output,
     write_text_atomic,
 )
@@ -646,6 +649,46 @@ class TestPplEval:
         warm = run_ppl_eval(items, stub2, config)
         assert stub2.loglikelihood_calls == 0
         assert records_to_jsonl(cold) == records_to_jsonl(warm)
+
+
+class TestRescore:
+    def _ppl_run(self):
+        # raw and normalized argmaxes that disagree, a tie, and a multiple_choice item
+        items = [choice_item(1, ["x", "y"], "B"), choice_item(2, ["left", "right"], "A"),
+                 make_item(3, question_type=QuestionType.MULTIPLE_CHOICE, choices=("red", "green"), answer=("B",))]
+        table = {" x": (-2.0, 1, 1), " y": (-3.0, 1, 30), " left": (-2.0, 1), " right": (-2.0, 1),
+                 " red": (-4.0, 1), " green": (-2.0, 1)}
+        return items, run_ppl_eval(items, StubBackend(logprob_table=table), RunConfig(mode="ppl"))
+
+    def test_ppl_records_rebuild_to_the_same_bytes(self, tmp_path):
+        items, records = self._ppl_run()
+        path = tmp_path / "records.jsonl"
+        path.write_text(records_to_jsonl(records), encoding="utf-8")
+        rescored = rescore(read_records(path), items, RunConfig(), ("accuracy",))
+        assert records_to_jsonl(rescored) == path.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("entry,problem", [
+        ({"total_logprob": "x"}, "choice_logprobs[1].total_logprob must be a finite number, got 'x'"),
+        ({"total_logprob": True}, "choice_logprobs[1].total_logprob must be a finite number, got True"),
+        ({"total_logprob": None}, "choice_logprobs[1].total_logprob must be a finite number, got None"),
+        ({"normalized_logprob": float("nan")},
+         "choice_logprobs[1].normalized_logprob must be a finite number, got nan"),
+        ({"normalized_logprob": float("-inf")},
+         "choice_logprobs[1].normalized_logprob must be a finite number, got -inf"),
+        (None, "'total_logprob'"),
+        (5, "'int' object is not subscriptable"),
+    ], ids=["string", "bool", "null", "nan", "infinite", "missing", "not_an_object"])
+    def test_bad_choice_logprob_is_refused(self, tmp_path, entry, problem):
+        data = self._ppl_run()[1][0].to_dict()
+        choice = data["choice_logprobs"][1]
+        if entry is None:
+            del choice["total_logprob"]
+        else:
+            data["choice_logprobs"][1] = {**choice, **entry} if isinstance(entry, dict) else entry
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(data) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=rf"records\.jsonl, line 1: not a record: {re.escape(problem)}$"):
+            read_records(path)
 
 
 # Puts ``count`` entries of over 8 KiB each into a cache directory shared

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from omnieval.backends import GenerationOptions, HttpBackend
-from omnieval.backends.http import _thread_connections
+from omnieval.backends.http import _keepalive_transport, _thread_connections
 from omnieval.errors import RateLimited, TransportError
 from omnieval.prompts import PromptBundle, Turn
 
@@ -35,7 +35,9 @@ class _CountingHandler(http.server.BaseHTTPRequestHandler):
     - ``http10``: reply as HTTP/1.0 without keep-alive, and close;
     - ``interim``: send ``100 Continue`` before the reply;
     - ``429``: reply 429 with ``Retry-After: 3``;
-    - ``reset_after_status``: send the status line, then reset the connection.
+    - ``reset_after_status``: send the status line, then reset the connection;
+    - ``204``: reply 204 with no body, and keep the connection;
+    - each other key of ``_RAW_REPLIES``: send that malformed reply, and close.
     """
 
     protocol_version = "HTTP/1.1"
@@ -64,6 +66,13 @@ class _CountingHandler(http.server.BaseHTTPRequestHandler):
             return
         if mode == "slow":
             time.sleep(1.0)
+        if mode in _RAW_REPLIES:
+            self.close_connection = mode != "204"
+            try:
+                self.wfile.write(_RAW_REPLIES[mode][0])
+            except (BrokenPipeError, ConnectionResetError):  # a client that stopped reading
+                pass
+            return
         body = json.dumps({
             "choices": [{"message": {"content": "pong"}, "finish_reason": "stop"}],
             "usage": {"prompt_tokens": 1, "completion_tokens": 1},
@@ -105,6 +114,22 @@ def _framed(mode, body):
     if mode == "eof":
         return b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n" + body
     return b"HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+
+
+# mode -> (the reply, the client's complaint about it, or None for a good reply)
+_RAW_REPLIES = {
+    "204": (b"HTTP/1.1 204 No Content\r\n\r\n", None),
+    "long_line": (b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 70000 + b"\r\nContent-Length: 0\r\n\r\n",
+                  "reply line too long"),
+    "bad_status": (b"HTTP/1.1 2OO OK\r\nContent-Length: 0\r\n\r\n", "malformed status line"),
+    "many_headers": (b"HTTP/1.1 200 OK\r\n" + b"X-Header: v\r\n" * 101 + b"\r\n",
+                     "reply has more than 100 header lines"),
+    "short_body": (b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{}", "reply body ended after 2 of 100 bytes"),
+    "negative_length": (b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n", "negative Content-Length"),
+    "negative_chunk": (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n-5\r\n", "negative chunk size"),
+    "chunk_without_crlf": (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}XY0\r\n\r\n",
+                           "chunk not followed by CRLF"),
+}
 
 
 @pytest.fixture
@@ -229,6 +254,32 @@ class TestKeepAliveTransport:
         # a new connection, so the late reply is never read as this one's
         assert _in_thread(run) == "pong"
         assert server.accepted == 2
+
+    @pytest.mark.parametrize("mode", [mode for mode, (_, problem) in _RAW_REPLIES.items() if problem])
+    def test_malformed_reply_is_one_transport_error_and_drops_the_connection(self, server, mode):
+        def run():
+            first = _ping(server.url)
+            server.mode = mode
+            with pytest.raises(TransportError, match=f"failed: {_RAW_REPLIES[mode][1]}$"):
+                _ping(server.url)  # on the kept-alive connection
+            kept = len(_thread_connections())
+            server.mode = "ok"
+            return first, kept, _ping(server.url)
+
+        assert _in_thread(run) == ("pong", 0, "pong")
+        assert server.handled == 3  # the failed request was sent once
+        assert server.accepted == 2  # and its connection was not used again
+
+    def test_204_reply_has_no_body_and_keeps_the_connection(self, server):
+        def run():
+            server.mode = "204"
+            status, _, text = _keepalive_transport(server.url, {}, {}, 5.0)
+            kept = len(_thread_connections())
+            server.mode = "ok"
+            return status, text, kept, _ping(server.url)
+
+        assert _in_thread(run) == (204, "", 1, "pong")
+        assert server.accepted == 1
 
 
 def test_cli_import_loads_no_third_party_module():
