@@ -7,21 +7,9 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from enum import Enum
 
-from ..errors import ConfigError, config_enum
+from ..errors import ConfigError
 from ..prompts import PromptBundle
-
-
-class DecodingMode(str, Enum):
-    GREEDY = "greedy"
-    SAMPLE = "sample"
-
-
-class FinishReason(str, Enum):
-    STOP = "stop"
-    LENGTH = "length"
-    ERROR = "error"
 
 
 @dataclass(frozen=True)
@@ -29,7 +17,6 @@ class GenerationOptions:
     temperature: float = 0.0
     max_new_tokens: int = 512
     stop_sequences: tuple[str, ...] = ()
-    decoding_mode: DecodingMode = DecodingMode.GREEDY
     seed: int | None = None
 
     def __post_init__(self):
@@ -44,40 +31,37 @@ class GenerationOptions:
         if not isinstance(stops, (list, tuple)) or not all(isinstance(s, str) for s in stops):
             raise ConfigError(f"stop_sequences must be a list of strings, got {stops!r}")
         object.__setattr__(self, "stop_sequences", tuple(stops))
-        object.__setattr__(self, "decoding_mode", config_enum(DecodingMode, self.decoding_mode, "decoding_mode"))
-
-    @property
-    def effective_mode(self) -> DecodingMode:
-        # temperature 0 always means greedy, whatever the configured mode says
-        if self.temperature == 0:
-            return DecodingMode.GREEDY
-        return self.decoding_mode
 
     def to_dict(self) -> dict:
-        return {**vars(self), "stop_sequences": list(self.stop_sequences), "decoding_mode": self.decoding_mode.value}
+        # "decoding_mode" is no option, but cache keys and run_meta.json written when it was
+        # one held it, so a config whose mode agreed with its temperature keeps their bytes
+        mode = "sample" if self.temperature else "greedy"
+        return {**vars(self), "stop_sequences": list(self.stop_sequences), "decoding_mode": mode}
 
 
 @dataclass(frozen=True)
 class ModelResponse:
     text: str
-    finish_reason: FinishReason = FinishReason.STOP
+    finish_reason: str | None = "stop"  # as the server sent it, None when it sent none
     prompt_tokens: int = 0
     completion_tokens: int = 0
     latency_ms: int = 0
 
     def to_dict(self) -> dict:
-        return {**vars(self), "finish_reason": self.finish_reason.value}
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelResponse":
-        # entries that earlier versions wrote also hold "token_logprobs": null, which is not read
-        return cls(
-            text=data["text"],
-            finish_reason=FinishReason(data.get("finish_reason", "stop")),
-            prompt_tokens=data.get("prompt_tokens", 0),
-            completion_tokens=data.get("completion_tokens", 0),
-            latency_ms=data.get("latency_ms", 0),
-        )
+        # a field of the wrong type is a ValueError, so the cache entry is a miss; entries
+        # that earlier versions wrote also hold "token_logprobs": null, which is not read
+        text, reason = data["text"], data.get("finish_reason", "stop")
+        prompt, completion, latency = (data.get("prompt_tokens", 0), data.get("completion_tokens", 0),
+                                       data.get("latency_ms", 0))
+        # type(), not isinstance(): a bool is an int, but true is no count
+        if not (isinstance(text, str) and (reason is None or isinstance(reason, str))
+                and type(prompt) is type(completion) is type(latency) is int):
+            raise ValueError("text, finish_reason or a token count or latency of the wrong type")
+        return cls(text, reason, prompt, completion, latency)
 
 
 @dataclass(frozen=True)

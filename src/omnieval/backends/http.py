@@ -31,14 +31,10 @@ from ..errors import (
 from ..prompts import PromptBundle
 from .base import (
     Backend,
-    DecodingMode,
-    FinishReason,
     GenerationOptions,
     LoglikelihoodResult,
     ModelResponse,
 )
-
-_FINISH_REASONS = {"stop": FinishReason.STOP, "length": FinishReason.LENGTH}
 
 # A 429's Retry-After hint above this many seconds is treated as no hint.
 MAX_RETRY_AFTER_S = 300.0
@@ -73,7 +69,7 @@ def build_chat_request(model: str, bundle: PromptBundle, options: GenerationOpti
     body = {
         "model": model,
         "messages": messages,
-        "temperature": 0.0 if options.effective_mode is DecodingMode.GREEDY else options.temperature,
+        "temperature": options.temperature or 0.0,
         "max_tokens": options.max_new_tokens,
     }
     if options.stop_sequences:
@@ -106,13 +102,12 @@ def parse_chat_response(payload: dict, latency_ms: int = 0) -> ModelResponse:
         raise MalformedReply(f"chat reply missing choices/message: {exc!r}") from exc
     if not isinstance(text, str):
         raise MalformedReply("chat reply has no text content")
-    finish = _FINISH_REASONS.get(reason, FinishReason.ERROR) if isinstance(reason, str) else FinishReason.ERROR
     usage = payload.get("usage") or {}
     if not isinstance(usage, dict):
         raise MalformedReply(f"chat reply usage is {usage!r}, not an object")
     return ModelResponse(
         text=text,
-        finish_reason=finish,
+        finish_reason=reason if isinstance(reason, str) else None,
         prompt_tokens=_token_count(usage, "prompt_tokens"),
         completion_tokens=_token_count(usage, "completion_tokens"),
         latency_ms=latency_ms,

@@ -20,7 +20,6 @@ from ..errors import ConfigError
 from ..prompts import PromptBundle
 from .base import (
     Backend,
-    FinishReason,
     GenerationOptions,
     LoglikelihoodResult,
     ModelResponse,
@@ -116,7 +115,7 @@ class StubBackend(Backend):
             prompt_tokens = sum(len(turn.text.split()) for turn in bundle.turns)
             return ModelResponse(
                 text=text,
-                finish_reason=FinishReason.STOP,
+                finish_reason="stop",
                 prompt_tokens=prompt_tokens,
                 completion_tokens=len(text.split()),
                 latency_ms=0,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .errors import EmptyDataset, ParseError, SchemaError
 from .estimators import METRIC_REGISTRY
-from .filters import LETTERS, QuestionType, normalize_text
+from .filters import LETTERS, YES_NO_WORDS, QuestionType, normalize_text
 
 RESERVED_CATEGORY = "__all__"
 
@@ -220,6 +220,10 @@ def validate_item(record, manifest: DatasetManifest, index: int = 0, exemplars: 
     )
 
 
+# a ground truth may also abbreviate; a reply's "y" or "n" is no answer
+_TRUTH_WORDS = {**YES_NO_WORDS, "y": "yes", "n": "no"}
+
+
 def _canonical_answer(answer, qtype, choices, fail):
     if qtype is QuestionType.SINGLE_CHOICE:
         letter = _parse_letter(answer, choices)
@@ -233,10 +237,8 @@ def _canonical_answer(answer, qtype, choices, fail):
         return letters
     if qtype is QuestionType.YES_NO:
         token = normalize_text(str(answer)) if not isinstance(answer, bool) else ("yes" if answer else "no")
-        if token in ("yes", "true", "correct", "y"):
-            return "yes"
-        if token in ("no", "false", "incorrect", "n"):
-            return "no"
+        if token in _TRUTH_WORDS:
+            return _TRUTH_WORDS[token]
         fail(f"bad field: answer: {answer!r} does not normalize to yes or no")
     # fill_blank / free_open: a string or a list of accepted alternatives
     if isinstance(answer, str):

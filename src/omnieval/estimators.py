@@ -54,9 +54,11 @@ def score_multi_choice(extracted: Iterable[str], truth: Iterable[str]) -> tuple[
 
 def score_fill_blank(extracted: str, truth: str | Sequence[str]) -> float:
     """1.0 iff the normalized answer equals any accepted normalized truth."""
-    accepted = [truth] if isinstance(truth, str) else list(truth)
-    got = normalize_text(extracted)
-    return 1.0 if any(got == normalize_text(t) for t in accepted) else 0.0
+    return _matches(extracted, reference_texts(truth))
+
+
+def _matches(extracted: str, references: list[str]) -> float:
+    return 1.0 if normalize_text(extracted) in references else 0.0
 
 
 # --- BLEU --------------------------------------------------------------------
@@ -217,12 +219,13 @@ class QuestionOutcome(NamedTuple):
 class MetricSpec:
     name: str
     applicable_types: frozenset[QuestionType]
-    fn: Callable  # (extracted, item) -> dict[str, float]
+    fn: Callable  # (extracted, item, references) -> dict[str, float]
 
 
-def reference_texts(truth: str | tuple[str, ...]) -> list[str]:
-    """The reference texts of a ground truth: each accepted answer."""
-    return list(truth) if isinstance(truth, tuple) else [truth]
+def reference_texts(truth: str | Sequence[str]) -> list[str]:
+    """The reference texts of a ground truth: each accepted answer, normalized
+    as the candidate was, so a reply equal to its reference scores 1."""
+    return [normalize_text(truth)] if isinstance(truth, str) else [normalize_text(t) for t in truth]
 
 
 def candidate_text(extracted: ExtractedAnswer | None) -> str:
@@ -233,7 +236,7 @@ def candidate_text(extracted: ExtractedAnswer | None) -> str:
     return extracted.value if isinstance(extracted.value, str) else " ".join(extracted.value)
 
 
-def _accuracy(extracted, item):
+def _accuracy(extracted, item, references):
     qtype = item.question_type
     if qtype in (QuestionType.SINGLE_CHOICE, QuestionType.YES_NO):
         return {"accuracy": score_choice_exact(extracted, item.answer)}
@@ -241,27 +244,27 @@ def _accuracy(extracted, item):
         got = extracted.value if extracted.status is not ExtractionStatus.UNEXTRACTED else ()
         exact, jaccard = score_multi_choice(got, item.answer)
         return {"accuracy": exact, "multi_choice_jaccard": jaccard}
-    return {"accuracy": score_fill_blank(candidate_text(extracted), item.answer)}
+    return {"accuracy": _matches(candidate_text(extracted), references)}
 
 
-def _multi_choice_exact(extracted, item):
+def _multi_choice_exact(extracted, item, references):
     got = extracted.value if extracted.status is not ExtractionStatus.UNEXTRACTED else ()
     exact, jaccard = score_multi_choice(got, item.answer)
     return {"multi_choice_exact": exact, "multi_choice_jaccard": jaccard}
 
 
-def _fill_blank_exact(extracted, item):
-    return {"fill_blank_exact": score_fill_blank(candidate_text(extracted), item.answer)}
+def _fill_blank_exact(extracted, item, references):
+    return {"fill_blank_exact": _matches(candidate_text(extracted), references)}
 
 
-def _bleu_metric(extracted, item):
-    return {"bleu": bleu(candidate_text(extracted), reference_texts(item.answer))}
+def _bleu_metric(extracted, item, references):
+    return {"bleu": bleu(candidate_text(extracted), references)}
 
 
 def _rouge_metric(name, scorer):
-    def fn(extracted, item):
+    def fn(extracted, item, references):
         candidate = candidate_text(extracted)
-        best = max(scorer(candidate, ref)[2] for ref in reference_texts(item.answer))
+        best = max(scorer(candidate, ref)[2] for ref in references)
         return {name: best}
 
     return fn
@@ -290,9 +293,11 @@ def score_item(
     """Apply every applicable registered metric to one item. When two metrics
     report the same name, the first one keeps it."""
     scores: dict[str, float] = {}
+    # a text item's references, normalized once for all its metrics
+    references = reference_texts(item.answer) if item.question_type in _TEXTUAL else None
     for name in metric_names:
         spec = METRIC_REGISTRY[name]
         if item.question_type in spec.applicable_types:
-            for out_name, score in spec.fn(extracted, item).items():
+            for out_name, score in spec.fn(extracted, item, references).items():
                 scores.setdefault(out_name, score)
     return tuple(QuestionOutcome(name, score) for name, score in scores.items())

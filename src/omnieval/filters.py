@@ -34,8 +34,8 @@ class ExtractionStatus(str, Enum):
 
 LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
-_YES_TOKENS = {"yes", "true", "correct"}
-_NO_TOKENS = {"no", "false", "incorrect"}
+# each word that answers a yes/no question, and the answer it gives
+YES_NO_WORDS = {"yes": "yes", "true": "yes", "correct": "yes", "no": "no", "false": "no", "incorrect": "no"}
 _NEGATORS = {"not", "never"}
 _ARTICLE_RE = re.compile(r"^(?:a|an|the)\s+")
 
@@ -300,7 +300,7 @@ def _parse_span(span: str, qtype: QuestionType, n_choices: int):
             return None
         return tuple(sorted(set(letters)))
     if qtype is QuestionType.YES_NO:
-        return _map_token(normalize_text(span).split(" ")[0])
+        return YES_NO_WORDS.get(normalize_text(span).split(" ")[0])
     text = normalize_text(span)
     return text or None
 
@@ -359,14 +359,6 @@ def _choice_text(raw: str, choices, single: bool):
     return None
 
 
-def _map_token(token: str) -> str | None:
-    if token in _YES_TOKENS:
-        return "yes"
-    if token in _NO_TOKENS:
-        return "no"
-    return None
-
-
 def _clean_tokens(raw: str) -> list[str]:
     return [t for t in map(_strip_edge_punct, normalize_text(raw).split(" ")) if t]
 
@@ -374,7 +366,7 @@ def _clean_tokens(raw: str) -> list[str]:
 def _leading_token(tokens: list[str]):
     if not tokens:
         return None
-    value = _map_token(tokens[0])
+    value = YES_NO_WORDS.get(tokens[0])
     if value is None:
         return None
     return ExtractedAnswer(value, ExtractionStatus.EXTRACTED, "leading_token", tokens[0])
@@ -388,7 +380,7 @@ def _polarity_scan(tokens: list[str]):
     """
     polarities = set()
     for i, token in enumerate(tokens):
-        value = _map_token(token)
+        value = YES_NO_WORDS.get(token)
         if value is None:
             continue
         if i > 0 and tokens[i - 1] in _NEGATORS:

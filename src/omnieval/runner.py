@@ -401,6 +401,20 @@ def _ppl_record(item: EvalItem, digest: str, per_choice: list[dict] | tuple[dict
     )
 
 
+def _ppl_refusal(item: EvalItem, stored: int | None = None) -> str | None:
+    """Why ppl mode cannot score ``item``, or from ``stored`` choice
+    loglikelihoods when given; None when it can."""
+    if not item.choices:
+        return f"ppl mode requires choices on every item; {item.id!r} has none"
+    # the argmax is a letter, which no other type's answer can equal
+    if item.question_type not in (QuestionType.SINGLE_CHOICE, QuestionType.MULTIPLE_CHOICE):
+        return ("ppl mode scores only single_choice and multiple_choice items; "
+                f"{item.id!r} is {item.question_type.value}")
+    if stored is not None and stored != len(item.choices):
+        return f"{item.id!r} has {len(item.choices)} choices, the record {stored} choice_logprobs"
+    return None
+
+
 def _run(
     mode: str,
     items: list[EvalItem],
@@ -420,12 +434,8 @@ def _run(
     if extractor is not None and not extractor.supports_generation:
         raise ConfigError("extractor backend does not support generation")
     for item in items:
-        if ppl and not item.choices:
-            raise ConfigError(f"ppl mode requires choices on every item; {item.id!r} has none")
-        # the argmax is a letter, which no other type's answer can equal
-        if ppl and item.question_type not in (QuestionType.SINGLE_CHOICE, QuestionType.MULTIPLE_CHOICE):
-            raise ConfigError("ppl mode scores only single_choice and multiple_choice items; "
-                              f"{item.id!r} is {item.question_type.value}")
+        if ppl and (refusal := _ppl_refusal(item)):
+            raise ConfigError(refusal)
         # a ppl context is text only, so its images would be dropped without a word
         if item.images and (ppl or not backend.supports_images):
             taker = "ppl mode" if ppl else f"backend {backend.model_name!r}"
@@ -553,7 +563,8 @@ def rescore(records: list[RunRecord], items: list[EvalItem], config: RunConfig,
             metrics: tuple[str, ...]) -> list[RunRecord]:
     """Rebuild each stored record against its item with the builder that
     ``eval`` used, from the stored reply or choice loglikelihoods, without a
-    backend call. An errored record, or one whose item is gone, is kept."""
+    backend call. An errored record is kept, and so is one whose item is gone
+    or, for a ppl record, can no longer be scored that way."""
     by_id = {item.id: item for item in items}
     rescored = []
     for record in records:
@@ -570,7 +581,10 @@ def rescore(records: list[RunRecord], items: list[EvalItem], config: RunConfig,
                 fallback = lambda answer=answer: answer
             record = score_response(item, record.prompt_digest, record.response_text, config, metrics, fallback)
         elif record.choice_logprobs is not None:
-            record = _ppl_record(item, record.prompt_digest, record.choice_logprobs)
+            if refusal := _ppl_refusal(item, len(record.choice_logprobs)):
+                logger.warning("record %s kept as-is: %s", record.item_id, refusal)
+            else:
+                record = _ppl_record(item, record.prompt_digest, record.choice_logprobs)
         rescored.append(record)
     return rescored
 

@@ -15,7 +15,7 @@ from omnieval import (
     Turn,
     with_retries,
 )
-from omnieval.backends.base import DecodingMode, FinishReason, LoglikelihoodResult, ModelResponse
+from omnieval.backends.base import LoglikelihoodResult, ModelResponse
 from omnieval.backends.http import (
     build_chat_request,
     build_completions_request,
@@ -49,13 +49,20 @@ def canonical(body: dict) -> str:
 
 
 class TestGenerationOptions:
-    def test_temperature_zero_is_greedy(self):
-        options = GenerationOptions(temperature=0.0, decoding_mode=DecodingMode.SAMPLE)
-        assert options.effective_mode is DecodingMode.GREEDY
+    @pytest.mark.parametrize("temperature,sent", [(0, 0.0), (0.0, 0.0), (0.7, 0.7), (1, 1)])
+    def test_temperature_alone_picks_the_decoding(self, temperature, sent):
+        body = build_chat_request("m", PING, GenerationOptions(temperature=temperature))
+        assert body["temperature"] == sent
+        assert type(body["temperature"]) is type(sent)
 
-    def test_nonzero_keeps_mode(self):
-        options = GenerationOptions(temperature=0.5, decoding_mode=DecodingMode.SAMPLE)
-        assert options.effective_mode is DecodingMode.SAMPLE
+    @pytest.mark.parametrize("temperature,mode", [(0, "greedy"), (0.0, "greedy"), (0.5, "sample")])
+    def test_to_dict_derives_the_decoding_mode(self, temperature, mode):
+        # cache keys and run_meta.json keep the bytes they had when the mode was an option
+        assert GenerationOptions(temperature=temperature).to_dict()["decoding_mode"] == mode
+
+    def test_decoding_mode_is_no_option(self):
+        with pytest.raises(TypeError, match="decoding_mode"):
+            GenerationOptions(temperature=0.5, decoding_mode="greedy")
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -69,7 +76,7 @@ class TestStubBackend:
         stub = StubBackend(scripted={"q1": "The answer is B."})
         response = stub.generate(BUNDLE, GenerationOptions())
         assert response.text == "The answer is B."
-        assert response.finish_reason is FinishReason.STOP
+        assert response.finish_reason == "stop"
 
     def test_echo_mode(self):
         stub = StubBackend()
@@ -144,7 +151,6 @@ class TestWireGoldens:
             temperature=0.7,
             max_new_tokens=128,
             stop_sequences=("\n\n",),
-            decoding_mode=DecodingMode.SAMPLE,
             seed=42,
         )
         body = build_chat_request("test-model", PING, options)
@@ -219,9 +225,16 @@ class TestReplyParsing:
         with pytest.raises(MalformedReply):
             parse_chat_response({"choices": [{"message": [1]}]})
 
-    def test_finish_reason_that_is_not_a_string_reads_as_error(self):
-        response = parse_chat_response({"choices": [{"message": {"content": "hi"}, "finish_reason": ["stop"]}]})
-        assert response.finish_reason is FinishReason.ERROR
+    @pytest.mark.parametrize("reason", ["stop", "length", "content_filter", "tool_calls"])
+    def test_finish_reason_is_kept_as_sent(self, reason):
+        response = parse_chat_response({"choices": [{"message": {"content": "hi"}, "finish_reason": reason}]})
+        assert response.finish_reason == reason
+
+    @pytest.mark.parametrize("choice", [{"finish_reason": ["stop"]}, {"finish_reason": None}, {}],
+                             ids=["list", "null", "absent"])
+    def test_finish_reason_that_is_not_a_string_reads_as_none(self, choice):
+        response = parse_chat_response({"choices": [{"message": {"content": "hi"}, **choice}]})
+        assert response.finish_reason is None
 
     @pytest.mark.parametrize("logprobs", [{"content": [{"tok": "x"}]}, "abc"], ids=["entry_without_token", "string"])
     def test_unrequested_chat_logprobs_are_not_read(self, logprobs):
@@ -343,11 +356,6 @@ class TestHttpBackendErrors:
         transport = FakeTransport(status=200, body="<html>oops</html>")
         with pytest.raises(MalformedReply):
             self._backend(transport).generate(PING, GenerationOptions())
-
-    def test_beam_mode_unsupported(self):
-        assert [m.value for m in DecodingMode] == ["greedy", "sample"]
-        with pytest.raises(ConfigError, match="^decoding_mode must be one of greedy, sample, got 'beam'$"):
-            GenerationOptions(temperature=0.5, decoding_mode="beam")
 
     def test_bearer_token_from_env(self, monkeypatch):
         monkeypatch.setenv("OMNIEVAL_API_KEY", "sk-test")
@@ -473,7 +481,7 @@ class TestHttpIntegration:
         backend = HttpBackend(local_server, "m")
         response = backend.generate(PING, GenerationOptions())
         assert response.text == "pong"
-        assert response.finish_reason is FinishReason.STOP
+        assert response.finish_reason == "stop"
 
     def test_loglikelihood_over_loopback(self, local_server):
         backend = HttpBackend(local_server, "m")
@@ -490,13 +498,16 @@ class TestHttpIntegration:
 class TestSerializationRoundTrip:
     def test_model_response(self):
         response = ModelResponse(
-            text="x", finish_reason=FinishReason.LENGTH, prompt_tokens=3, completion_tokens=1, latency_ms=9,
+            text="x", finish_reason="length", prompt_tokens=3, completion_tokens=1, latency_ms=9,
         )
         assert ModelResponse.from_dict(response.to_dict()) == response
         assert "token_logprobs" not in response.to_dict()
         # cache entries that earlier versions wrote carry the key, with null or a list
         for logprobs in (None, [["x", -0.5]]):
             assert ModelResponse.from_dict({**response.to_dict(), "token_logprobs": logprobs}) == response
+        # and the finish reasons that they folded every server reason into read back as they are
+        for reason in ("stop", "length", "error"):
+            assert ModelResponse.from_dict({"text": "x", "finish_reason": reason}).finish_reason == reason
 
     def test_loglikelihood_result(self):
         result = LoglikelihoodResult(-2.5, 3, 11)

@@ -98,8 +98,8 @@ class TestEval:
         "max_new_tokens_string": ({"generation": {"max_new_tokens": "64"}}, "max_new_tokens"),
         "rule_without_name": ({"extraction_rules": [{"pattern": "(x)"}]}, "name"),
         "backend_not_an_object": ({"backend": "stub"}, "backend"),
-        "bad_decoding_mode": ({"generation": {"decoding_mode": "nope"}}, "decoding_mode"),
-        "bad_decoding_mode_beam": ({"generation": {"decoding_mode": "beam"}}, "decoding_mode"),
+        # temperature alone picks the decoding; the old default mode is refused like any unknown key
+        "decoding_mode": ({"generation": {"decoding_mode": "greedy"}}, "decoding_mode"),
         "bad_default_question_type": ({"default_question_type": "nope"}, "default_question_type"),
         "bad_applicable_type": (
             {"extraction_rules": [{"name": "r", "pattern": "(x)", "applicable_types": ["nope"]}]},
@@ -332,8 +332,7 @@ class TestConfigExtras:
         stub = {"type": "stub", "scripted": FIXTURE_REPLIES, "default_reply": "A",
                 "logprob_table": {" Paris": [-1.0, 1]}, "char_logprob": -0.5, "model_name": "stub",
                 "supports_generation": True, "supports_loglikelihood": True, "supports_images": False}
-        generation = {"temperature": 0.5, "max_new_tokens": 64, "stop_sequences": ["\n\n"],
-                      "decoding_mode": "sample", "seed": 7}
+        generation = {"temperature": 0.5, "max_new_tokens": 64, "stop_sequences": ["\n\n"], "seed": 7}
         template = {"system_text": "Be brief.", "question_prefix": "Q: ", "choice_line_format": "({letter}) {text}",
                     "answer_prefix": "A:", "exemplar_separator": "\n", "cot_suffix": "Think."}
         rule = {"name": "verdict", "pattern": r"Verdict: ([A-D])", "capture_group": 1,
@@ -513,6 +512,31 @@ class TestScore:
         assert rescored[1:] == stored[1:]
         assert "| __all__ | 0.2000 |" in capsys.readouterr().out  # was 0: q01 is right now, of five
 
+    def test_ppl_records_that_ppl_mode_cannot_score_are_kept(self, tmp_path, fixture_dataset_path, caplog):
+        config = make_config(tmp_path, fixture_dataset_path, mode="ppl")
+        assert main(["eval", "--config", str(config), "--limit", "5"]) == 0
+        records = tmp_path / "runs" / "fixture10" / "stub" / "records.jsonl"
+        stored = records.read_text(encoding="utf-8").splitlines()
+        dataset = json.loads(fixture_dataset_path.read_text(encoding="utf-8"))
+        q01, q02 = dataset["data"][:2]
+        q01.update(question_type="yes_no", answer="yes")
+        del q01["choices"]
+        q02.update(choices=q02["choices"][:1], answer="A")
+        changed = tmp_path / "changed.json"
+        changed.write_text(json.dumps(dataset), encoding="utf-8")
+        out_path = tmp_path / "rescored.jsonl"
+        caplog.clear()
+        assert main(["score", "--records", str(records), "--dataset", str(changed),
+                     "--out", str(out_path)]) == 0
+        assert out_path.read_text(encoding="utf-8").splitlines() == stored
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == [
+            "record q01 kept as-is: ppl mode requires choices on every item; 'q01' has none",
+            "record q02 kept as-is: 'q02' has 1 choices, the record 3 choice_logprobs",
+        ]
+        # eval refuses the same dataset
+        assert main(["eval", "--config", str(config), "--dataset", str(changed), "--limit", "5"]) == 1
+
 class TestReportCommand:
     def _run(self, tmp_path, fixture_dataset_path):
         config = make_config(tmp_path, fixture_dataset_path, replies=FIXTURE_REPLIES)
@@ -616,7 +640,9 @@ class TestTextMetricGoldens:
     """``configs/stub_text_demo.json`` scores fill-blank and free-open replies
     (wrong, partial, multi-reference, repeated tokens, one empty) with
     accuracy, BLEU and ROUGE. Its records and full-precision report were made
-    before the BLEU and LCS kernels were rewritten and must stay byte-identical."""
+    before the BLEU and LCS kernels were rewritten, and made again, checked
+    against ``tests/oracles.py``, when references began to be normalized like
+    candidates (t08 and the nine rows it enters changed)."""
 
     def test_eval_score_and_report_match_goldens(self, tmp_path, data_dir, golden_dir, capsys):
         repo = Path(__file__).parent.parent

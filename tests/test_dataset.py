@@ -4,9 +4,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from omnieval import DatasetManifest, FewShotExemplar, QuestionType, load_dataset, validate_item
+from omnieval import (
+    DatasetManifest,
+    ExtractionStatus,
+    FewShotExemplar,
+    QuestionType,
+    extract_answer,
+    load_dataset,
+    validate_item,
+)
 from omnieval.dataset import dump_dataset, item_to_record
 from omnieval.errors import EmptyDataset, ParseError, SchemaError
+from omnieval.filters import YES_NO_WORDS
 
 
 def write(tmp_path, payload, name="ds.json"):
@@ -165,6 +174,17 @@ class TestValidateItem:
     def test_yes_no_normalization(self):
         record = {"id": "x", "instruction": "q", "question_type": "yes_no", "answer": "True"}
         assert validate_item(record, self.MANIFEST).answer == "yes"
+
+    def test_every_word_the_extractor_maps_is_a_ground_truth(self):
+        for word, meaning in YES_NO_WORDS.items():
+            assert extract_answer(word, QuestionType.YES_NO, None).value == meaning
+            record = {"id": "x", "instruction": "q", "question_type": "yes_no", "answer": word.upper()}
+            assert validate_item(record, self.MANIFEST).answer == meaning
+        # a ground truth may also abbreviate, which a reply may not
+        for word, meaning in (("y", "yes"), ("n", "no")):
+            record = {"id": "x", "instruction": "q", "question_type": "yes_no", "answer": word}
+            assert validate_item(record, self.MANIFEST).answer == meaning
+            assert extract_answer(word, QuestionType.YES_NO, None).status is ExtractionStatus.UNEXTRACTED
 
     def test_missing_instruction(self):
         record = {"id": "x", "question_type": "yes_no", "answer": "yes"}

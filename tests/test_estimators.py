@@ -10,6 +10,7 @@ from omnieval import (
     ExtractionStatus,
     bleu,
     corpus_bleu,
+    extract_answer,
     rouge_l,
     rouge_n,
     score_choice_exact,
@@ -65,6 +66,16 @@ class TestScoreItem:
             "accuracy", "multi_choice_jaccard", "multi_choice_exact"
         ]
         assert [o.score for o in outcomes] == [0.0, 0.5, 0.0]
+
+    @pytest.mark.parametrize("answer", ["The cat sat on the mat.", ("A dog ran.", "The cat sat on the mat.")],
+                             ids=["one_reference", "second_of_two"])
+    def test_reply_equal_to_its_reference_scores_one(self, answer):
+        # the candidate is normalized when it is extracted, so the references must be too
+        item = EvalItem(id="t1", instruction="describe", question_type=QuestionType.FREE_OPEN, answer=answer)
+        extracted = extract_answer("The cat sat on the mat.", QuestionType.FREE_OPEN, None)
+        outcomes = score_item(item, extracted, ["bleu", "rouge1", "rouge2", "rougeL"])
+        assert {o.metric_name: o.score for o in outcomes} == {"bleu": 1.0, "rouge1": 1.0, "rouge2": 1.0,
+                                                               "rougeL": 1.0}
 
 
 class TestBleu:

@@ -23,7 +23,7 @@ from omnieval import (
     run_ppl_eval,
     with_retries,
 )
-from omnieval.backends.base import FinishReason, ModelResponse
+from omnieval.backends.base import ModelResponse
 from omnieval.dataset import DatasetManifest, EvalItem, validate_item
 from omnieval.errors import BackendRefused, ConfigError, ParseError, RateLimited, TransportError
 from omnieval.prompts import PromptBundle, Turn
@@ -95,7 +95,7 @@ class TestCacheKey:
         ), item_id="q1")
         options = GenerationOptions(temperature=0.5, stop_sequences=("\n",), seed=7)
         assert generate_key("org/model-7b", bundle, options.to_dict()) == (
-            "8ccbfc09e951b99279ebb8eb2e9d0b8868b62637c402fe09f18722c89c996f14")
+            "2af6a1baeb1c8672f026756b4d5ee208d33c252ac7c0a03016f7e84cf96ddfe1")
         stub = StubBackend(model_name="org/model-7b", default_reply="A")
         records = run_generation_eval([choice_item(1, ["Paris", "Rome"], "A")], stub, RunConfig())
         assert records[0].prompt_digest == (
@@ -347,15 +347,17 @@ class TestGenerationEval:
 
     @pytest.mark.parametrize("entry", [
         {"kind": "generate", "response": {"txt": "oops"}},
-        {"kind": "generate", "response": {"text": "A", "finish_reason": "tired"}},
+        {"kind": "generate", "response": {"text": 5}},
+        {"kind": "generate", "response": {"text": "A", "finish_reason": 5}},
+        {"kind": "generate", "response": {"text": "A", "latency_ms": True}},
         {"kind": "generate", "response": "A"},
         {"kind": "generate"},
         {"kind": "loglikelihood", "response": {"total_logprob": -1.0, "token_count": 1,
                                                "continuation_chars": 2}},
         {"kind": "chat", "response": {"text": "A"}},
         {"response": {"text": "A"}},
-    ], ids=["no_text", "bad_finish_reason", "not_an_object", "no_response", "other_kind",
-            "unknown_kind", "no_kind"])
+    ], ids=["no_text", "text_not_a_string", "bad_finish_reason", "count_that_is_a_bool", "not_an_object",
+            "no_response", "other_kind", "unknown_kind", "no_kind"])
     def test_cache_entry_that_does_not_decode_is_fetched_again(self, tmp_path, fixture_dataset_path,
                                                                 fixture_replies, caplog, entry):
         manifest, items = load_dataset(fixture_dataset_path)
@@ -695,12 +697,12 @@ class TestRescore:
 # with another process.
 _WRITER = """
 import sys
-from omnieval.backends.base import FinishReason, ModelResponse
+from omnieval.backends.base import ModelResponse
 from omnieval.runner import ResponseCache
 cache_dir, tag, count = sys.argv[1], sys.argv[2], int(sys.argv[3])
 cache = ResponseCache(cache_dir)
 for i in range(count):
-    cache.put(f"{tag}-{i}", "generate", ModelResponse(f"{tag}{i} " * 1500, FinishReason.STOP))
+    cache.put(f"{tag}-{i}", "generate", ModelResponse(f"{tag}{i} " * 1500))
 cache.close()
 """
 
@@ -740,8 +742,8 @@ class TestResponseCache:
 
     def test_line_torn_inside_a_character_is_skipped(self, tmp_path, caplog):
         cache = ResponseCache(tmp_path)
-        cache.put("whole", "generate", ModelResponse("caf\u00e9", FinishReason.STOP))
-        cache.put("torn", "generate", ModelResponse("caf\u00e9" * 50, FinishReason.STOP))
+        cache.put("whole", "generate", ModelResponse("caf\u00e9"))
+        cache.put("torn", "generate", ModelResponse("caf\u00e9" * 50))
         cache.close()
         path = tmp_path / "responses.jsonl"
         data = path.read_bytes()
@@ -753,13 +755,13 @@ class TestResponseCache:
             assert cache.get("whole", "generate").text == "caf\u00e9"
             assert cache.get("torn", "generate") is None
         assert sum("skipped 1 unreadable line" in m for m in caplog.messages) == 1
-        cache.put("torn", "generate", ModelResponse("again", FinishReason.STOP))
+        cache.put("torn", "generate", ModelResponse("again"))
         cache.close()
         assert ResponseCache(tmp_path).get("torn", "generate").text == "again"
 
     def test_line_that_holds_no_entry_is_skipped(self, tmp_path, caplog):
         whole = canonical_json({"key": "whole", "kind": "generate", "created_at": "x",
-                                "response": ModelResponse("kept", FinishReason.STOP).to_dict()})
+                                "response": ModelResponse("kept").to_dict()})
         (tmp_path / "responses.jsonl").write_text(
             "\n".join(["", '{"key":["a list"]}', '{"key":7}', '{"kind":"generate"}', "[1,2]", '"text"', whole]))
         with caplog.at_level("WARNING", logger="omnieval.runner"):
@@ -771,7 +773,7 @@ class TestResponseCache:
     def test_entry_in_flight_from_another_process_keeps_its_own_line(self, tmp_path, caplog):
         # the bytes of another process's put, taken from a cache of its own
         other = ResponseCache(tmp_path / "other")
-        other.put("other", "generate", ModelResponse("theirs", FinishReason.STOP))
+        other.put("other", "generate", ModelResponse("theirs"))
         other.close()
         entry = (tmp_path / "other" / "responses.jsonl").read_bytes()
         path = tmp_path / "shared" / "responses.jsonl"
@@ -783,7 +785,7 @@ class TestResponseCache:
             assert cache.get("other", "generate") is None  # loaded mid-append
         with open(path, "ab") as f:
             f.write(entry[len(entry) // 2:])
-        cache.put("mine", "generate", ModelResponse("mine", FinishReason.STOP))
+        cache.put("mine", "generate", ModelResponse("mine"))
         cache.close()
 
         assert b"\n\n" not in path.read_bytes()
@@ -795,7 +797,7 @@ class TestResponseCache:
         # each entry ends in \n, as earlier versions wrote them, and the last one is torn
         entries = [
             canonical_json({"key": f"aa-{i}", "kind": "generate", "created_at": "2024-01-01T00:00:00+00:00",
-                            "response": ModelResponse(f"reply {i}", FinishReason.STOP).to_dict()}) + "\n"
+                            "response": ModelResponse(f"reply {i}").to_dict()}) + "\n"
             for i in range(3)
         ]
         shard = tmp_path / "aa.jsonl"
@@ -805,7 +807,7 @@ class TestResponseCache:
         cache = ResponseCache(tmp_path)
         with caplog.at_level("WARNING", logger="omnieval.runner"):
             assert [cache.get(f"aa-{i}", "generate") is not None for i in range(3)] == [True, True, False]
-        cache.put("aa-2", "generate", ModelResponse("again", FinishReason.STOP))
+        cache.put("aa-2", "generate", ModelResponse("again"))
         cache.close()
         assert shard.read_bytes() == old  # read, never written
 
@@ -868,7 +870,7 @@ class TestResponseCache:
         old = [f"old-{i}" for i in range(300)]
         cache = ResponseCache(tmp_path)
         for key in old:
-            cache.put(key, "generate", ModelResponse(key, FinishReason.STOP))
+            cache.put(key, "generate", ModelResponse(key))
         cache.close()
         with open(tmp_path / "responses.jsonl", "ab") as f:
             f.write(b'\n{"key":"torn","kind":"gen')  # a kill mid-append
@@ -889,7 +891,7 @@ class TestResponseCache:
         def write():
             barrier.wait(timeout=10)
             for key in new:
-                cache.put(key, "generate", ModelResponse(key, FinishReason.STOP))
+                cache.put(key, "generate", ModelResponse(key))
 
         threads = [threading.Thread(target=read, args=(i,)) for i in range(readers)]
         threads.append(threading.Thread(target=write))
@@ -915,10 +917,10 @@ class TestResponseCache:
 
     def test_put_after_close_raises(self, tmp_path):
         cache = ResponseCache(tmp_path)
-        cache.put("before", "generate", ModelResponse("kept", FinishReason.STOP))
+        cache.put("before", "generate", ModelResponse("kept"))
         cache.close()
         with pytest.raises(ValueError, match="closed"):
-            cache.put("after", "generate", ModelResponse("lost", FinishReason.STOP))
+            cache.put("after", "generate", ModelResponse("lost"))
         reread = ResponseCache(tmp_path)
         assert reread.get("before", "generate").text == "kept"
         assert reread.get("after", "generate") is None
@@ -927,7 +929,7 @@ class TestResponseCache:
         cache = ResponseCache(tmp_path)
         monkeypatch.setattr(os, "write", lambda fd, data: len(data) - 1)
         with pytest.raises(OSError, match="wrote"):
-            cache.put("short", "generate", ModelResponse("reply", FinishReason.STOP))
+            cache.put("short", "generate", ModelResponse("reply"))
         monkeypatch.undo()
         assert cache.get("short", "generate") is None
         cache.close()
