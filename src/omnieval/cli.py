@@ -17,6 +17,7 @@ import functools
 import json
 import logging
 import sys
+from dataclasses import fields, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -59,10 +60,15 @@ def _object(raw, where: str) -> dict:
 
 def _build(cls, raw, where: str, **built):
     """``cls(**raw)`` for the JSON object ``raw``, ``built`` holding values
-    already decoded from it. A key ``cls`` does not take, or a bad value that
-    it does not name itself, is a ConfigError naming ``where``."""
+    already decoded from it. A key that is no init field of a dataclass
+    ``cls``, or a bad value that ``cls`` does not name itself, is a
+    ConfigError naming ``where``."""
+    raw = _object(raw, where)
+    # refused here, since the dataclass's own TypeError words it the interpreter's way
+    if is_dataclass(cls) and (unknown := sorted(raw.keys() - {f.name for f in fields(cls) if f.init})):
+        raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
     try:
-        return cls(**{**_object(raw, where), **built})
+        return cls(**{**raw, **built})
     except (TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 

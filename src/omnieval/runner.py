@@ -422,9 +422,12 @@ def _run(
     config: RunConfig,
     manifest: DatasetManifest | None,
 ) -> list[RunRecord]:
-    """The one execution path of both modes: the set-up they share, then one
-    task per item on worker threads. Only the task's body after the prompt
-    is rendered depends on the mode."""
+    """The one execution path of both modes: the set-up they share, then the
+    backend calls on up to ``concurrency_limit`` worker threads. A generate
+    item is one task on them, since its extractor call depends on its reply.
+    A ppl item is planned in the calling thread: only the distinct choice keys
+    that the cache misses go to the workers, one task each, so a warm run
+    starts no thread; the records are then built in item order."""
     items = items[: config.limit]
     ppl = mode == "ppl"
     capability = "loglikelihood" if ppl else "generation"
@@ -443,16 +446,23 @@ def _run(
     cache = ResponseCache(config.cache_dir) if config.cache_dir else None
     metrics = manifest.metrics if manifest is not None else config.default_metrics
 
-    def call(key: str, kind: str, fetch, *args):
-        """The cached reply for ``key``, else ``fetch(*args)``'s, made with
-        retries and then cached. A failed fetch raises and caches nothing."""
-        response = cache.get(key, kind) if cache else None
-        if response is None:
-            response = with_retries(lambda: fetch(*args), max_retries=config.max_retries,
-                                    backoff_base_ms=config.backoff_base_ms)
-            if cache:
-                cache.put(key, kind, response)
+    def fetch(key: str, kind: str, request, *args):
+        """``request(*args)``'s reply, made with retries and then cached under
+        ``key``. A failed request raises and caches nothing."""
+        response = with_retries(lambda: request(*args), max_retries=config.max_retries,
+                                backoff_base_ms=config.backoff_base_ms)
+        if cache:
+            cache.put(key, kind, response)
         return response
+
+    def call(key: str, kind: str, request, *args):
+        """The cached reply for ``key``, else ``fetch``'s."""
+        response = cache.get(key, kind) if cache else None
+        return fetch(key, kind, request, *args) if response is None else response
+
+    def failed(item: EvalItem, digest: str, exc: Exception) -> RunRecord:
+        logger.warning("item %s failed: %s", item.id, exc)
+        return RunRecord(item.id, digest, item.category, item.answer, error=f"{type(exc).__name__}: {exc}")
 
     # loglikelihood requests carry no generation options, so their keys hold none
     keys = CacheKeys(backend.model_name, None if ppl else config.generation.to_dict())
@@ -469,16 +479,6 @@ def _run(
         digest = ""
         try:
             bundle = render_prompt(item, config.template, config.use_cot, config.num_shots, rendered)
-            if ppl:
-                context = flatten_bundle(bundle, config.template.exemplar_separator)
-                continuations = [" " + choice for choice in item.choices]
-                digest, choice_keys = keys.ppl(context, continuations)
-                results = [call(key, "loglikelihood", backend.loglikelihood, context, continuation)
-                           for key, continuation in zip(choice_keys, continuations)]
-                return _ppl_record(item, digest, [
-                    {"letter": LETTERS[i], **result.to_dict(), "normalized_logprob": result.per_char_logprob}
-                    for i, result in enumerate(results)
-                ])
             digest = keys.generate(bundle)
             text = call(digest, "generate", backend.generate, bundle, config.generation).text
             fallback = None
@@ -488,12 +488,60 @@ def _run(
                 )
             return score_response(item, digest, text, config, metrics, fallback)
         except Exception as exc:
-            logger.warning("item %s failed: %s", item.id, exc)
-            return RunRecord(item.id, digest, item.category, item.answer,
-                             error=f"{type(exc).__name__}: {exc}")
+            return failed(item, digest, exc)
+
+    replies: dict = {}  # ppl choice key -> its LoglikelihoodResult, or the exception its fetch raised
+    misses: dict[str, tuple[str, str]] = {}  # ppl choice key -> (context, continuation), first seen first
+
+    def plan(item: EvalItem) -> tuple[str, list[str]] | RunRecord:
+        """The digest and choice keys of a ppl item, each key sorted into
+        ``replies`` or ``misses``; or the record of its failure."""
+        digest = ""
+        try:
+            bundle = render_prompt(item, config.template, config.use_cot, config.num_shots, rendered)
+            context = flatten_bundle(bundle, config.template.exemplar_separator)
+            continuations = [" " + choice for choice in item.choices]
+            digest, choice_keys = keys.ppl(context, continuations)
+            for key, continuation in zip(choice_keys, continuations):
+                if key not in replies and key not in misses:
+                    reply = cache.get(key, "loglikelihood") if cache else None
+                    if reply is None:
+                        misses[key] = (context, continuation)
+                    else:
+                        replies[key] = reply
+            return digest, choice_keys
+        except Exception as exc:
+            return failed(item, digest, exc)
+
+    def fetch_choice(miss: tuple[str, tuple[str, str]]):
+        key, (context, continuation) = miss
+        try:
+            return fetch(key, "loglikelihood", backend.loglikelihood, context, continuation)
+        except Exception as exc:  # it fails the items that hold this key, when their records are built
+            return exc
+
+    def ppl_record(item: EvalItem, planned: tuple[str, list[str]] | RunRecord) -> RunRecord:
+        if isinstance(planned, RunRecord):
+            return planned
+        digest, choice_keys = planned
+        try:
+            per_choice = []
+            for i, key in enumerate(choice_keys):
+                reply = replies[key]
+                if isinstance(reply, Exception):
+                    raise reply  # the first failing choice in choice order names the item's error
+                per_choice.append({"letter": LETTERS[i], **reply.to_dict(),
+                                   "normalized_logprob": reply.per_char_logprob})
+            return _ppl_record(item, digest, per_choice)
+        except Exception as exc:
+            return failed(item, digest, exc)
 
     try:
-        return _on_workers(task, items, config.concurrency_limit)
+        if not ppl:
+            return _on_workers(task, items, config.concurrency_limit)
+        plans = [plan(item) for item in items]
+        replies.update(zip(misses, _on_workers(fetch_choice, list(misses.items()), config.concurrency_limit)))
+        return [ppl_record(item, planned) for item, planned in zip(items, plans)]
     finally:
         if cache:
             cache.close()

@@ -167,6 +167,18 @@ class TestEval:
         assert capsys.readouterr().err == "config error: answer_prefix must be a string, got 5\n"
         assert not (tmp_path / "runs").exists() and not (tmp_path / "cache").exists()
 
+    @pytest.mark.parametrize("extra,where", [
+        ({"template": {"bogus": 1}}, "template"),
+        ({"extraction_rules": [{"name": "r", "pattern": "(x)", "bogus": 1}]}, "extraction_rules[0]"),
+        ({"generation": {"bogus": 1}}, "generation"),
+        ({"bogus": 1}, "config"),
+    ], ids=["template", "extraction_rule", "generation", "top_level"])
+    def test_unknown_key_is_named_in_one_wording(self, tmp_path, fixture_dataset_path, capsys, extra, where):
+        config = make_config(tmp_path, fixture_dataset_path, replies=FIXTURE_REPLIES, extra=extra)
+        assert main(["eval", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"config error: {where}: unknown key 'bogus'\n"
+        assert not (tmp_path / "runs").exists() and not (tmp_path / "cache").exists()
+
     def test_bad_default_question_type_in_meta(self, tmp_path, fixture_dataset_path, capsys):
         dataset = json.loads(fixture_dataset_path.read_text(encoding="utf-8"))
         dataset["meta"]["default_question_type"] = "nope"

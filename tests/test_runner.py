@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -651,6 +652,86 @@ class TestPplEval:
         warm = run_ppl_eval(items, stub2, config)
         assert stub2.loglikelihood_calls == 0
         assert records_to_jsonl(cold) == records_to_jsonl(warm)
+
+    @staticmethod
+    def _in_step(parties):
+        """A delay_fn that holds each call until ``parties`` calls are in
+        flight; with fewer, the call fails after the timeout."""
+        barrier = threading.Barrier(parties)
+        return lambda: barrier.wait(timeout=5) and 0
+
+    def test_choices_are_fetched_in_parallel_up_to_the_limit(self):
+        for n_items, limit in ((1, 4), (6, 3)):
+            items = [choice_item(i, ["red", "green", "blue", "grey"], "A") for i in range(n_items)]
+            stub = StubBackend(delay_fn=self._in_step(limit))
+            records = run_ppl_eval(items, stub, RunConfig(mode="ppl", concurrency_limit=limit))
+            assert [r.error for r in records] == [None] * n_items
+            assert stub.loglikelihood_calls == 4 * n_items
+            assert stub.max_inflight == limit
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_a_key_needed_twice_is_fetched_once(self, tmp_path, cached):
+        config = RunConfig(mode="ppl", cache_dir=str(tmp_path / "cache") if cached else None)
+        # two items with one prompt and the same choices: each choice is one key for both
+        twins = [choice_item(1, ["red", "green"], "A"),
+                 choice_item(2, ["red", "green"], "B", instruction="question number 1")]
+        stub = StubBackend()
+        records = run_ppl_eval(twins, stub, config)
+        assert stub.loglikelihood_calls == 2
+        assert records[0].prompt_digest == records[1].prompt_digest
+        assert records[0].choice_logprobs == records[1].choice_logprobs
+        stub = StubBackend()
+        record = run_ppl_eval([choice_item(3, ["same", "same"], "A")], stub, config)[0]
+        assert stub.loglikelihood_calls == 1
+        assert record.choice_logprobs[0] == {**record.choice_logprobs[1], "letter": "A"}
+
+    def test_warm_rerun_starts_no_worker(self, tmp_path, monkeypatch):
+        items = [choice_item(i, ["red", "green"], "A") for i in range(6)]
+        config = RunConfig(mode="ppl", cache_dir=str(tmp_path / "cache"))
+        cold = run_ppl_eval(items, StubBackend(), config)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread.name) or start(thread))
+        warm = run_ppl_eval(items, StubBackend(), config)
+        monkeypatch.undo()
+        assert started == []
+        assert records_to_jsonl(warm) == records_to_jsonl(cold)
+
+    def test_records_in_dataset_order_when_later_calls_finish_first(self):
+        # all six calls are in flight at once; then each call sleeps less than the one that came before it
+        arrivals = itertools.count()
+        in_step = self._in_step(6)
+        stub = StubBackend(delay_fn=lambda: (6 - next(arrivals)) * 0.01 + in_step(),
+                           logprob_table={f" {c}": (-float(n), 1) for n, c in enumerate("abcdef", 1)})
+        items = [choice_item(1, ["a", "b", "c"], "A"), choice_item(2, ["d", "e", "f"], "A")]
+        records = run_ppl_eval(items, stub, RunConfig(mode="ppl", concurrency_limit=6))
+        assert [r.error for r in records] == [None, None]
+        assert [r.item_id for r in records] == ["it001", "it002"]
+        assert [[(c["letter"], c["total_logprob"]) for c in r.choice_logprobs] for r in records] == [
+            [("A", -1.0), ("B", -2.0), ("C", -3.0)], [("A", -4.0), ("B", -5.0), ("C", -6.0)]]
+
+    def test_a_failing_choice_fails_only_its_own_items(self, tmp_path):
+        class Refusing(StubBackend):
+            def loglikelihood(self, context, continuation):
+                if continuation == " worse":
+                    time.sleep(0.05)  # the later choice " bad" fails first
+                if continuation in (" worse", " bad"):
+                    raise BackendRefused(f"{continuation.strip()} refused")
+                return super().loglikelihood(context, continuation)
+
+        items = [choice_item(1, ["fine", "worse", "bad"], "A"), choice_item(2, ["fine", "good"], "A")]
+        config = RunConfig(mode="ppl", cache_dir=str(tmp_path / "cache"))
+        records = run_ppl_eval(items, Refusing(), config)
+        clean = run_ppl_eval(items, StubBackend(), replace(config, cache_dir=None))
+        assert records[0].error == "BackendRefused: worse refused"
+        assert records[0].prompt_digest == clean[0].prompt_digest
+        assert records_to_jsonl(records[1:]) == records_to_jsonl(clean[1:])
+        # the failed choices were not cached, so a rerun fetches only them
+        stub = StubBackend()
+        rerun = run_ppl_eval(items, stub, config)
+        assert stub.loglikelihood_calls == 2
+        assert records_to_jsonl(rerun) == records_to_jsonl(clean)
 
 
 class TestRescore:
