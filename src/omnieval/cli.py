@@ -17,7 +17,7 @@ import functools
 import json
 import logging
 import sys
-from dataclasses import fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -61,12 +61,17 @@ def _object(raw, where: str) -> dict:
 def _build(cls, raw, where: str, **built):
     """``cls(**raw)`` for the JSON object ``raw``, ``built`` holding values
     already decoded from it. A key that is no init field of a dataclass
-    ``cls``, or a bad value that ``cls`` does not name itself, is a
-    ConfigError naming ``where``."""
+    ``cls``, a required init field it lacks, or a bad value that ``cls`` does
+    not name itself, is a ConfigError naming ``where``."""
     raw = _object(raw, where)
-    # refused here, since the dataclass's own TypeError words it the interpreter's way
-    if is_dataclass(cls) and (unknown := sorted(raw.keys() - {f.name for f in fields(cls) if f.init})):
-        raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
+    # refused here, since the dataclass's own TypeError words them the interpreter's way
+    if is_dataclass(cls):
+        init = [f for f in fields(cls) if f.init]
+        if unknown := sorted(raw.keys() - {f.name for f in init}):
+            raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
+        required = (f.name for f in init if f.default is MISSING and f.default_factory is MISSING)
+        if missing := [name for name in required if name not in raw and name not in built]:
+            raise ConfigError(f"{where}: missing key {missing[0]!r}")
     try:
         return cls(**{**raw, **built})
     except (TypeError, ValueError, AttributeError) as exc:

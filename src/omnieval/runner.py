@@ -1,8 +1,12 @@
 """End-to-end evaluation driver: prompt -> inference -> extraction -> scores,
-per item, with request caching, retries, and bounded parallelism.
+with request caching, retries, and bounded parallelism.
 
-Records come back in dataset order regardless of completion order, and a
-failing item never aborts the run: it yields a record carrying the error.
+Both modes send one request per distinct key that the cache misses, so equal
+prompts share one reply with or without a cache. Generate mode sends the
+extractor's requests in a second round, so a cold run appends all model
+replies before the extractor's; the keys are unchanged, so caches written
+earlier stay warm. Records come back in dataset order, and a failing item
+never aborts the run: it yields a record carrying the error.
 """
 
 from __future__ import annotations
@@ -332,12 +336,16 @@ def with_retries(thunk, *, max_retries: int = 3, backoff_base_ms: int = 500, sle
 EXTRACTION_OPTIONS = GenerationOptions(temperature=0.0, max_new_tokens=64)
 
 
+def _extraction_bundle(raw: str, qtype: QuestionType, choices) -> PromptBundle:
+    return PromptBundle(system_text=None, turns=(Turn("user", extraction_prompt(raw, qtype, choices)),))
+
+
 def model_extract(raw: str, qtype: QuestionType, choices: list[str] | tuple[str, ...] | None, generate,
                   rules: tuple[ExtractionRule, ...] = ()) -> ExtractedAnswer:
     """Ask an extractor model to isolate the answer, then run the regex bank
     again on its reply. ``generate(bundle, options)`` makes the model call; a
     ``BackendError`` from it degrades to ``unextracted`` and never propagates."""
-    bundle = PromptBundle(system_text=None, turns=(Turn("user", extraction_prompt(raw, qtype, choices)),))
+    bundle = _extraction_bundle(raw, qtype, choices)
     try:
         reply = generate(bundle, EXTRACTION_OPTIONS)
     except BackendError as exc:
@@ -349,29 +357,12 @@ def model_extract(raw: str, qtype: QuestionType, choices: list[str] | tuple[str,
     return ExtractedAnswer(second.value, ExtractionStatus.MODEL_EXTRACTED, second.rule_name, second.raw_span)
 
 
-def score_response(
-    item: EvalItem,
-    digest: str,
-    text: str,
-    config: RunConfig,
-    metrics: tuple[str, ...],
-    fallback=None,
-) -> RunRecord:
-    """Extract the answer from a generated response and score it: the one
-    path that ``eval`` and ``score`` share. ``fallback()`` gives the answer
-    when the regex bank finds none."""
-    extracted = extract_answer(text, item.question_type, item.choices, config.extraction_rules)
-    if extracted.status is ExtractionStatus.UNEXTRACTED and fallback is not None:
-        extracted = fallback()
-    return RunRecord(
-        item_id=item.id,
-        prompt_digest=digest,
-        category=item.category,
-        ground_truth=item.answer,
-        response_text=text,
-        extracted=extracted,
-        outcomes=score_item(item, extracted, metrics),
-    )
+def score_response(item: EvalItem, digest: str, text: str, extracted: ExtractedAnswer,
+                   metrics: tuple[str, ...]) -> RunRecord:
+    """Score the answer ``extracted`` from a generated response: the one path
+    that ``eval`` and ``score`` share."""
+    return RunRecord(item.id, digest, item.category, item.answer, response_text=text, extracted=extracted,
+                     outcomes=score_item(item, extracted, metrics))
 
 
 def _ppl_record(item: EvalItem, digest: str, per_choice: list[dict] | tuple[dict, ...]) -> RunRecord:
@@ -422,12 +413,11 @@ def _run(
     config: RunConfig,
     manifest: DatasetManifest | None,
 ) -> list[RunRecord]:
-    """The one execution path of both modes: the set-up they share, then the
-    backend calls on up to ``concurrency_limit`` worker threads. A generate
-    item is one task on them, since its extractor call depends on its reply.
-    A ppl item is planned in the calling thread: only the distinct choice keys
-    that the cache misses go to the workers, one task each, so a warm run
-    starts no thread; the records are then built in item order."""
+    """The one execution path of both modes, in rounds. The calling thread
+    plans every item, sorting its keys into cached replies and misses, and the
+    distinct misses go to up to ``concurrency_limit`` worker threads. Generate
+    mode then extracts each reply in the calling thread and plans the
+    extractor's requests the same way. Last, the records are built in order."""
     items = items[: config.limit]
     ppl = mode == "ppl"
     capability = "loglikelihood" if ppl else "generation"
@@ -446,102 +436,105 @@ def _run(
     cache = ResponseCache(config.cache_dir) if config.cache_dir else None
     metrics = manifest.metrics if manifest is not None else config.default_metrics
 
-    def fetch(key: str, kind: str, request, *args):
+    replies: dict = {}  # key -> its reply, or the exception its fetch raised
+    misses: dict[str, tuple] = {}  # key -> (kind, request, *args), first seen first
+
+    def want(key: str, kind: str, request, *args):
+        """Sort ``key`` into ``replies`` when the cache holds it, else into ``misses``."""
+        if key not in replies and key not in misses:
+            reply = cache.get(key, kind) if cache else None
+            if reply is None:
+                misses[key] = (kind, request, *args)
+            else:
+                replies[key] = reply
+
+    def fetch(miss: tuple[str, tuple]):
         """``request(*args)``'s reply, made with retries and then cached under
-        ``key``. A failed request raises and caches nothing."""
-        response = with_retries(lambda: request(*args), max_retries=config.max_retries,
-                                backoff_base_ms=config.backoff_base_ms)
-        if cache:
-            cache.put(key, kind, response)
+        ``key``; or the exception that failed it, which caches nothing."""
+        key, (kind, request, *args) = miss
+        try:
+            response = with_retries(lambda: request(*args), max_retries=config.max_retries,
+                                    backoff_base_ms=config.backoff_base_ms)
+            if cache:
+                cache.put(key, kind, response)
+            return response
+        except Exception as exc:  # it fails the items that need this key, when they next read it
+            return exc
+
+    def fetch_misses():
+        replies.update(zip(misses, _on_workers(fetch, list(misses.items()), config.concurrency_limit)))
+        misses.clear()
+
+    def reply(key: str):
+        if isinstance(response := replies[key], Exception):
+            raise response
         return response
-
-    def call(key: str, kind: str, request, *args):
-        """The cached reply for ``key``, else ``fetch``'s."""
-        response = cache.get(key, kind) if cache else None
-        return fetch(key, kind, request, *args) if response is None else response
-
-    def failed(item: EvalItem, digest: str, exc: Exception) -> RunRecord:
-        logger.warning("item %s failed: %s", item.id, exc)
-        return RunRecord(item.id, digest, item.category, item.answer, error=f"{type(exc).__name__}: {exc}")
 
     # loglikelihood requests carry no generation options, so their keys hold none
     keys = CacheKeys(backend.model_name, None if ppl else config.generation.to_dict())
-    if extractor is not None:
-        # the extractor's generate call, cached and retried like the model's;
-        # model_extract always passes EXTRACTION_OPTIONS
-        extract_keys = CacheKeys(extractor.model_name, EXTRACTION_OPTIONS.to_dict())
-        extract = lambda bundle, options: call(extract_keys.generate(bundle), "generate",
-                                               extractor.generate, bundle, options)
-
+    extract_keys = CacheKeys(extractor.model_name, EXTRACTION_OPTIONS.to_dict()) if extractor else None
     rendered: dict = {}  # each exemplar's turn pair, rendered once per run
 
-    def task(item: EvalItem) -> RunRecord:
-        digest = ""
-        try:
-            bundle = render_prompt(item, config.template, config.use_cot, config.num_shots, rendered)
+    def plan(item: EvalItem):
+        """The digest of ``item`` and the keys of its requests, each passed to ``want``."""
+        bundle = render_prompt(item, config.template, config.use_cot, config.num_shots, rendered)
+        if not ppl:
             digest = keys.generate(bundle)
-            text = call(digest, "generate", backend.generate, bundle, config.generation).text
-            fallback = None
-            if extractor is not None:
-                fallback = lambda: model_extract(
-                    text, item.question_type, item.choices, extract, config.extraction_rules
-                )
-            return score_response(item, digest, text, config, metrics, fallback)
-        except Exception as exc:
-            return failed(item, digest, exc)
+            want(digest, "generate", backend.generate, bundle, config.generation)
+            return (digest,)
+        context = flatten_bundle(bundle, config.template.exemplar_separator)
+        continuations = [" " + choice for choice in item.choices]
+        digest, choice_keys = keys.ppl(context, continuations)
+        for key, continuation in zip(choice_keys, continuations):
+            want(key, "loglikelihood", backend.loglikelihood, context, continuation)
+        return digest, choice_keys
 
-    replies: dict = {}  # ppl choice key -> its LoglikelihoodResult, or the exception its fetch raised
-    misses: dict[str, tuple[str, str]] = {}  # ppl choice key -> (context, continuation), first seen first
+    def read(item: EvalItem, digest: str):
+        """The reply to ``item``, the regex bank's answer in it and, when that
+        is none and an extractor is set, the key of the extractor's request."""
+        text = reply(digest).text
+        extracted = extract_answer(text, item.question_type, item.choices, config.extraction_rules)
+        extract_key = None
+        if extracted.status is ExtractionStatus.UNEXTRACTED and extractor is not None:
+            bundle = _extraction_bundle(text, item.question_type, item.choices)
+            extract_key = extract_keys.generate(bundle)
+            want(extract_key, "generate", extractor.generate, bundle, EXTRACTION_OPTIONS)
+        return digest, text, extracted, extract_key
 
-    def plan(item: EvalItem) -> tuple[str, list[str]] | RunRecord:
-        """The digest and choice keys of a ppl item, each key sorted into
-        ``replies`` or ``misses``; or the record of its failure."""
-        digest = ""
-        try:
-            bundle = render_prompt(item, config.template, config.use_cot, config.num_shots, rendered)
-            context = flatten_bundle(bundle, config.template.exemplar_separator)
-            continuations = [" " + choice for choice in item.choices]
-            digest, choice_keys = keys.ppl(context, continuations)
-            for key, continuation in zip(choice_keys, continuations):
-                if key not in replies and key not in misses:
-                    reply = cache.get(key, "loglikelihood") if cache else None
-                    if reply is None:
-                        misses[key] = (context, continuation)
-                    else:
-                        replies[key] = reply
-            return digest, choice_keys
-        except Exception as exc:
-            return failed(item, digest, exc)
-
-    def fetch_choice(miss: tuple[str, tuple[str, str]]):
-        key, (context, continuation) = miss
-        try:
-            return fetch(key, "loglikelihood", backend.loglikelihood, context, continuation)
-        except Exception as exc:  # it fails the items that hold this key, when their records are built
-            return exc
-
-    def ppl_record(item: EvalItem, planned: tuple[str, list[str]] | RunRecord) -> RunRecord:
-        if isinstance(planned, RunRecord):
-            return planned
-        digest, choice_keys = planned
-        try:
-            per_choice = []
-            for i, key in enumerate(choice_keys):
-                reply = replies[key]
-                if isinstance(reply, Exception):
-                    raise reply  # the first failing choice in choice order names the item's error
-                per_choice.append({"letter": LETTERS[i], **reply.to_dict(),
-                                   "normalized_logprob": reply.per_char_logprob})
+    def build(item: EvalItem, digest: str, *planned) -> RunRecord:
+        if ppl:
+            choices = [reply(key) for key in planned[0]]  # the first failing choice names the item's error
+            per_choice = [{"letter": LETTERS[i], **choice.to_dict(), "normalized_logprob": choice.per_char_logprob}
+                          for i, choice in enumerate(choices)]
             return _ppl_record(item, digest, per_choice)
-        except Exception as exc:
-            return failed(item, digest, exc)
+        text, extracted, extract_key = planned
+        if extract_key is not None:
+            # the extractor's reply was fetched with the others; a BackendError it raises degrades to unextracted
+            generate = lambda bundle, options: reply(extract_key)
+            extracted = model_extract(text, item.question_type, item.choices, generate, config.extraction_rules)
+        return score_response(item, digest, text, extracted, metrics)
+
+    def each(step, states: list) -> list:
+        """``step(item, *state)`` for each item that has not failed, in item
+        order. A planned state starts with the item's digest, and an exception
+        fails only its own item, with that digest."""
+        done = []
+        for item, state in zip(items, states):
+            try:
+                done.append(state if isinstance(state, RunRecord) else step(item, *state))
+            except Exception as exc:
+                logger.warning("item %s failed: %s", item.id, exc)
+                done.append(RunRecord(item.id, state[0] if state else "", item.category, item.answer,
+                                      error=f"{type(exc).__name__}: {exc}"))
+        return done
 
     try:
+        states = each(plan, [()] * len(items))
+        fetch_misses()
         if not ppl:
-            return _on_workers(task, items, config.concurrency_limit)
-        plans = [plan(item) for item in items]
-        replies.update(zip(misses, _on_workers(fetch_choice, list(misses.items()), config.concurrency_limit)))
-        return [ppl_record(item, planned) for item, planned in zip(items, plans)]
+            states = each(read, states)
+            fetch_misses()
+        return each(build, states)
     finally:
         if cache:
             cache.close()
@@ -621,13 +614,14 @@ def rescore(records: list[RunRecord], items: list[EvalItem], config: RunConfig,
             logger.warning("record %s has no matching dataset item; kept as-is", record.item_id)
         elif record.error is not None:
             pass  # what the record holds is the item's failure
-        elif record.response_text is not None:
-            answer = record.extracted
-            fallback = None
-            if answer is not None and answer.status is ExtractionStatus.MODEL_EXTRACTED:
-                # the extractor's answer came from a backend call, which score never makes
-                fallback = lambda answer=answer: answer
-            record = score_response(item, record.prompt_digest, record.response_text, config, metrics, fallback)
+        elif (text := record.response_text) is not None:
+            answer = extract_answer(text, item.question_type, item.choices, config.extraction_rules)
+            stored = record.extracted
+            # the extractor's answer came from a backend call, which score never makes
+            if (answer.status is ExtractionStatus.UNEXTRACTED and stored is not None
+                    and stored.status is ExtractionStatus.MODEL_EXTRACTED):
+                answer = stored
+            record = score_response(item, record.prompt_digest, text, answer, metrics)
         elif record.choice_logprobs is not None:
             if refusal := _ppl_refusal(item, len(record.choice_logprobs)):
                 logger.warning("record %s kept as-is: %s", record.item_id, refusal)

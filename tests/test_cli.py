@@ -179,6 +179,15 @@ class TestEval:
         assert capsys.readouterr().err == f"config error: {where}: unknown key 'bogus'\n"
         assert not (tmp_path / "runs").exists() and not (tmp_path / "cache").exists()
 
+    @pytest.mark.parametrize("rule,key", [({"pattern": "(x)"}, "name"), ({"name": "r"}, "pattern"), ({}, "name")],
+                             ids=["no_name", "no_pattern", "empty"])
+    def test_missing_key_is_named_in_one_wording(self, tmp_path, fixture_dataset_path, capsys, rule, key):
+        config = make_config(tmp_path, fixture_dataset_path, replies=FIXTURE_REPLIES,
+                             extra={"extraction_rules": [rule]})
+        assert main(["eval", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"config error: extraction_rules[0]: missing key {key!r}\n"
+        assert not (tmp_path / "runs").exists() and not (tmp_path / "cache").exists()
+
     def test_bad_default_question_type_in_meta(self, tmp_path, fixture_dataset_path, capsys):
         dataset = json.loads(fixture_dataset_path.read_text(encoding="utf-8"))
         dataset["meta"]["default_question_type"] = "nope"

@@ -300,6 +300,15 @@ class TestGenerationEval:
         assert up.generate_calls == 1
         assert second[0].extracted.status.value == "model_extracted"
 
+    def test_extractor_error_that_is_no_backend_error_fails_only_its_item(self):
+        items = [choice_item(1, ["Paris", "Rome"], "B"), choice_item(2, ["Paris", "Rome"], "A")]
+        stub = StubBackend(scripted={"it001": "the second one, obviously", "it002": "The answer is A."})
+        extractor = StubBackend(default_reply="B", failures=[RuntimeError("extractor exploded")])
+        records = run_generation_eval(items, stub, RunConfig(extractor=extractor))
+        assert records[0].error == "RuntimeError: extractor exploded"
+        assert records[0].prompt_digest and records[0].response_text is None
+        assert records[1].error is None and records[1].extracted.value == "A"
+
     def test_extractor_call_is_retried(self):
         items = [choice_item(1, ["Paris", "Rome"], "B")]
         stub = StubBackend(scripted={"it001": "the second one, obviously"})
@@ -475,7 +484,7 @@ class TestGenerationEval:
         assert 1 <= len(threads_seen) <= 3
         assert threading.get_ident() not in threads_seen
 
-    def test_uncaught_task_exception_propagates(self, monkeypatch):
+    def test_uncaught_task_exception_propagates(self, tmp_path, monkeypatch):
         import omnieval.runner as runner_mod
 
         class Stop(BaseException):
@@ -484,11 +493,21 @@ class TestGenerationEval:
         def stop(*args, **kwargs):
             raise Stop("not an Exception")
 
-        monkeypatch.setattr(runner_mod, "score_item", stop)
-        stub = StubBackend()
+        calls = itertools.count(1)
+        stub = StubBackend(delay_fn=lambda: stop() if next(calls) == 3 else 0.001)
         with pytest.raises(Stop):
             run_generation_eval([make_item(i) for i in range(20)], stub, RunConfig(concurrency_limit=2))
-        assert stub.generate_calls < 20  # the workers took no new items after it
+        assert stub.generate_calls < 20  # the workers took no new calls after it
+
+        # scoring runs in the calling thread: a Stop there propagates too, and the cache is closed
+        closed = []
+        close = runner_mod.ResponseCache.close
+        monkeypatch.setattr(runner_mod.ResponseCache, "close", lambda cache: closed.append(cache) or close(cache))
+        monkeypatch.setattr(runner_mod, "score_item", stop)
+        config = RunConfig(concurrency_limit=2, cache_dir=str(tmp_path / "cache"))
+        with pytest.raises(Stop):
+            run_generation_eval([make_item(i) for i in range(20)], StubBackend(), config)
+        assert len(closed) == 1
 
     @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
@@ -669,35 +688,6 @@ class TestPplEval:
             assert stub.loglikelihood_calls == 4 * n_items
             assert stub.max_inflight == limit
 
-    @pytest.mark.parametrize("cached", [False, True])
-    def test_a_key_needed_twice_is_fetched_once(self, tmp_path, cached):
-        config = RunConfig(mode="ppl", cache_dir=str(tmp_path / "cache") if cached else None)
-        # two items with one prompt and the same choices: each choice is one key for both
-        twins = [choice_item(1, ["red", "green"], "A"),
-                 choice_item(2, ["red", "green"], "B", instruction="question number 1")]
-        stub = StubBackend()
-        records = run_ppl_eval(twins, stub, config)
-        assert stub.loglikelihood_calls == 2
-        assert records[0].prompt_digest == records[1].prompt_digest
-        assert records[0].choice_logprobs == records[1].choice_logprobs
-        stub = StubBackend()
-        record = run_ppl_eval([choice_item(3, ["same", "same"], "A")], stub, config)[0]
-        assert stub.loglikelihood_calls == 1
-        assert record.choice_logprobs[0] == {**record.choice_logprobs[1], "letter": "A"}
-
-    def test_warm_rerun_starts_no_worker(self, tmp_path, monkeypatch):
-        items = [choice_item(i, ["red", "green"], "A") for i in range(6)]
-        config = RunConfig(mode="ppl", cache_dir=str(tmp_path / "cache"))
-        cold = run_ppl_eval(items, StubBackend(), config)
-        started = []
-        start = threading.Thread.start
-        monkeypatch.setattr(threading.Thread, "start",
-                            lambda thread: started.append(thread.name) or start(thread))
-        warm = run_ppl_eval(items, StubBackend(), config)
-        monkeypatch.undo()
-        assert started == []
-        assert records_to_jsonl(warm) == records_to_jsonl(cold)
-
     def test_records_in_dataset_order_when_later_calls_finish_first(self):
         # all six calls are in flight at once; then each call sleeps less than the one that came before it
         arrivals = itertools.count()
@@ -732,6 +722,73 @@ class TestPplEval:
         rerun = run_ppl_eval(items, stub, config)
         assert stub.loglikelihood_calls == 2
         assert records_to_jsonl(rerun) == records_to_jsonl(clean)
+
+
+class TestPlannedRun:
+    """Both modes plan every item in the calling thread, and only the distinct
+    keys that the cache misses go to the workers: the model's requests first,
+    then the extractor's."""
+
+    MODES = ["generate", "extractor", "ppl"]
+
+    @staticmethod
+    def _backends(mode, delay_fn=None):
+        """The model and the extractor of ``mode``; with an extractor, every
+        reply of the model is one that the regex bank cannot read."""
+        if mode != "extractor":
+            return StubBackend(delay_fn=delay_fn), None
+        return (StubBackend(default_reply="the second one, obviously"),
+                StubBackend(default_reply="B", model_name="extractor", delay_fn=delay_fn))
+
+    @staticmethod
+    def _eval(mode, items, config, stub, extractor=None):
+        config = replace(config, mode="ppl" if mode == "ppl" else "generate", extractor=extractor)
+        return (run_ppl_eval if mode == "ppl" else run_generation_eval)(items, stub, config)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_a_key_needed_twice_is_fetched_once(self, tmp_path, cached, mode):
+        # two calls of a pair would be in flight together, so neither would find the other's reply cached
+        config = RunConfig(cache_dir=str(tmp_path / "cache") if cached else None, concurrency_limit=2)
+        stub, extractor = self._backends(mode, delay_fn=lambda: 0.01)
+        if mode == "extractor":
+            # two prompts whose unreadable replies give one extractor bundle
+            items = [choice_item(1, ["red", "green"], "B"), choice_item(2, ["red", "green"], "B")]
+            records = self._eval(mode, items, config, stub, extractor)
+            assert (stub.generate_calls, extractor.generate_calls) == (2, 1)
+            assert [r.extracted.status.value for r in records] == ["model_extracted"] * 2
+            return
+        # two items with one prompt and the same choices: each request is one key for both
+        twins = [choice_item(1, ["red", "green"], "A"),
+                 choice_item(2, ["red", "green"], "B", instruction="question number 1")]
+        records = self._eval(mode, twins, config, stub)
+        assert stub.generate_calls + stub.loglikelihood_calls == (2 if mode == "ppl" else 1)
+        assert records[0].prompt_digest == records[1].prompt_digest
+        assert records[0].response_text == records[1].response_text
+        assert records[0].choice_logprobs == records[1].choice_logprobs
+        if mode == "ppl":
+            stub = StubBackend()
+            record = run_ppl_eval([choice_item(3, ["same", "same"], "A")], stub, replace(config, mode="ppl"))[0]
+            assert stub.loglikelihood_calls == 1
+            assert record.choice_logprobs[0] == {**record.choice_logprobs[1], "letter": "A"}
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_warm_rerun_starts_no_worker(self, tmp_path, monkeypatch, mode):
+        items = [choice_item(i, ["red", "green"], "A") for i in range(6)]
+        config = RunConfig(cache_dir=str(tmp_path / "cache"))
+        cold = self._eval(mode, items, config, *self._backends(mode))
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread.name) or start(thread))
+        stub, extractor = self._backends(mode)
+        warm = self._eval(mode, items, config, stub, extractor)
+        monkeypatch.undo()
+        assert started == []
+        assert stub.generate_calls + stub.loglikelihood_calls == 0
+        assert extractor is None or extractor.generate_calls == 0
+        assert records_to_jsonl(warm) == records_to_jsonl(cold)
+        assert ("model_extracted" in records_to_jsonl(cold)) == (mode == "extractor")
 
 
 class TestRescore:
