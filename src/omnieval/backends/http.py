@@ -346,7 +346,7 @@ def _keepalive_transport(url: str, body: dict, headers: dict, timeout_s: float):
 class HttpBackend(Backend):
     """OpenAI-compatible HTTP backend.
 
-    ``transport`` is injectable for tests: a callable of
+    ``_transport``, a test seam and no config key, is a callable of
     (url, body, headers, timeout_s) returning (status, headers, text), the
     reply's header names lower-cased. The default keeps one connection per
     worker thread alive.
@@ -362,7 +362,7 @@ class HttpBackend(Backend):
         supports_loglikelihood: bool = True,
         supports_images: bool = False,
         timeout_s: float = 120.0,
-        transport=None,
+        _transport=None,
     ):
         if type(timeout_s) not in (int, float) or not 0 < timeout_s < math.inf:
             raise ConfigError(f"timeout_s must be a number > 0, got {timeout_s!r}")
@@ -387,7 +387,7 @@ class HttpBackend(Backend):
             self.headers["Authorization"] = f"Bearer {key}"
         self.base_url = base_url.rstrip("/")
         self.timeout_s = timeout_s
-        self._transport = transport or _keepalive_transport
+        self._transport = _transport or _keepalive_transport
         super().__init__(model_name, supports_generation, supports_loglikelihood, supports_images)
 
     def _post(self, endpoint: str, body: dict) -> dict:

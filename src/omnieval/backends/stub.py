@@ -50,8 +50,8 @@ class StubBackend(Backend):
         supports_generation: bool = True,
         supports_loglikelihood: bool = True,
         supports_images: bool = True,
-        failures: list[Exception] | None = None,
-        delay_fn=None,
+        _failures: list[Exception] | None = None,
+        _delay_fn=None,
     ):
         for name, table in (("scripted", scripted), ("logprob_table", logprob_table)):
             if not isinstance(table or {}, dict):
@@ -74,8 +74,8 @@ class StubBackend(Backend):
             raise ConfigError(f"char_logprob must be a finite number, got {char_logprob!r}")
         self.char_logprob = char_logprob
         super().__init__(model_name, supports_generation, supports_loglikelihood, supports_images)
-        self._failures = list(failures or [])
-        self._delay_fn = delay_fn
+        self._failures = list(_failures or [])
+        self._delay_fn = _delay_fn
         self._lock = threading.Lock()
         self.generate_calls = 0
         self.loglikelihood_calls = 0

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import logging
 import sys
-from dataclasses import MISSING, fields, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -58,46 +58,44 @@ def _object(raw, where: str) -> dict:
     return raw
 
 
+@functools.cache
+def _config_keys(cls) -> tuple[frozenset, tuple]:
+    """The config keys of ``cls``, its constructor's keyword parameters but test
+    seams (a name starting with ``_``), and those of them without a default, in order."""
+    params = [p for p in inspect.signature(cls).parameters.values()
+              if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY) and not p.name.startswith("_")]
+    return frozenset(p.name for p in params), tuple(p.name for p in params if p.default is p.empty)
+
+
 def _build(cls, raw, where: str, **built):
     """``cls(**raw)`` for the JSON object ``raw``, ``built`` holding values
-    already decoded from it. A key that is no init field of a dataclass
-    ``cls``, a required init field it lacks, or a bad value that ``cls`` does
-    not name itself, is a ConfigError naming ``where``."""
+    already decoded from it. A key that is no config key of ``cls``, a
+    required one that it lacks, or a bad value that ``cls`` does not name
+    itself, is a ConfigError naming ``where``."""
     raw = _object(raw, where)
-    # refused here, since the dataclass's own TypeError words them the interpreter's way
-    if is_dataclass(cls):
-        init = [f for f in fields(cls) if f.init]
-        if unknown := sorted(raw.keys() - {f.name for f in init}):
-            raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
-        required = (f.name for f in init if f.default is MISSING and f.default_factory is MISSING)
-        if missing := [name for name in required if name not in raw and name not in built]:
-            raise ConfigError(f"{where}: missing key {missing[0]!r}")
+    accepted, required = _config_keys(cls)
+    # refused here, since the constructor's own TypeError words them the interpreter's way
+    if unknown := sorted(raw.keys() - accepted):
+        raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
+    if missing := [name for name in required if name not in raw and name not in built]:
+        raise ConfigError(f"{where}: missing key {missing[0]!r}")
     try:
         return cls(**{**raw, **built})
     except (TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-# backend type -> (class, the constructor keywords a JSON descriptor may set)
-_BACKENDS = {
-    "stub": (StubBackend, {"scripted", "logprob_table", "default_reply", "char_logprob", "model_name",
-                           "supports_generation", "supports_loglikelihood", "supports_images"}),
-    "http": (HttpBackend, {"base_url", "model_name", "api_key_env", "supports_generation",
-                           "supports_loglikelihood", "supports_images", "timeout_s"}),
-}
+# backend type -> class; its constructor's parameters are the keys a JSON descriptor may set
+_BACKENDS = {"stub": StubBackend, "http": HttpBackend}
 
 
 def build_backend(desc: dict, where: str = "backend"):
     """The backend that the JSON object ``desc`` describes; ``type`` is http when absent."""
     desc = dict(_object(desc, where))
     kind = desc.pop("type", "http")
-    if kind not in _BACKENDS:
+    if not isinstance(kind, str) or kind not in _BACKENDS:
         raise ConfigError(f"{where}: unknown backend type {kind!r}")
-    cls, keys = _BACKENDS[kind]
-    unknown = sorted(desc.keys() - keys)
-    if unknown:
-        raise ConfigError(f"{where}: unknown key {unknown[0]!r} for a {kind} backend")
-    return _build(cls, desc, where)
+    return _build(_BACKENDS[kind], desc, where)
 
 
 def build_run_config(raw: dict) -> RunConfig:
@@ -120,9 +118,9 @@ def build_run_config(raw: dict) -> RunConfig:
 
 def cmd_eval(args) -> int:
     raw = _load_json(args.config)
-    for key in ("mode", "num_shots", "use_cot", "limit", "concurrency_limit", "output_dir", "cache_dir"):
-        if getattr(args, key) is not None:
-            raw[key] = getattr(args, key)
+    # a flag whose dest is a RunConfig key overrides that key
+    accepted, _ = _config_keys(RunConfig)
+    raw.update((key, value) for key, value in vars(args).items() if key in accepted and value is not None)
     backend_desc = _object(raw.get("backend"), "backend")
     for key in ("base_url", "model_name"):
         if getattr(args, key) is not None:
@@ -179,8 +177,7 @@ def cmd_report(args) -> int:
     if not record_files:
         print(f"no records.jsonl found under {runs_dir}", file=sys.stderr)
         return EXIT_USAGE
-    emitter = EMITTERS[args.format]
-    chunks = []
+    reports = []
     for record_file in record_files:
         meta_path = record_file.with_name("run_meta.json")
         meta = {}
@@ -198,8 +195,8 @@ def cmd_report(args) -> int:
         except SchemaError as exc:
             raise SchemaError(f"{meta_path}: {exc}") from exc
         records = read_records(record_file)
-        chunks.append(emitter(aggregate(records, manifest, model_name=meta.get("model", "unknown"))))
-    text = "\n".join(chunks) if args.format == "md" else "".join(chunks)
+        reports.append(aggregate(records, manifest, model_name=meta.get("model", "unknown")))
+    text = EMITTERS[args.format](reports)
     if args.out:
         write_text_atomic(args.out, text)
     else:

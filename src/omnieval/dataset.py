@@ -10,7 +10,7 @@ record keys survive a round trip untouched.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import EmptyDataset, ParseError, SchemaError
@@ -18,13 +18,6 @@ from .estimators import METRIC_REGISTRY
 from .filters import LETTERS, YES_NO_WORDS, QuestionType, normalize_text
 
 RESERVED_CATEGORY = "__all__"
-
-_RECORD_KEYS = frozenset(
-    {
-        "id", "instruction", "choices", "answer", "question_type", "few_shot",
-        "cot_directive", "images", "category", "language", "domain", "modality",
-    }
-)
 
 
 @dataclass(frozen=True)
@@ -51,6 +44,10 @@ class EvalItem:
     domain: str | None = None
     modality: str | None = None
     extra: dict = field(default_factory=dict)
+
+
+# the record keys that an item's own fields hold; ``extra`` holds the rest
+_RECORD_KEYS = frozenset(f.name for f in fields(EvalItem)) - {"extra"}
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,13 @@ class PromptTemplate:
             if not isinstance(value, str) and not (value is None and f.name == "system_text"):
                 kind = "a string or null" if f.name == "system_text" else "a string"
                 raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
-        if "{letter}" not in self.choice_line_format or "{text}" not in self.choice_line_format:
-            raise ConfigError("choice_line_format must contain {letter} and {text}")
+        try:  # rendered once: a field other than the two, or one left out, fails or hides every choice
+            line = self.choice_line_format.format(letter="\0", text="\1")
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError):
+            line = ""
+        if "\0" not in line or "\1" not in line:
+            raise ConfigError("choice_line_format must render {letter} and {text} and no other field, "
+                              f"got {self.choice_line_format!r}")
 
 
 @dataclass(frozen=True)

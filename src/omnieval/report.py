@@ -158,19 +158,21 @@ def report_to_markdown(report: MetricReport) -> str:
     return "\n".join(out) + "\n"
 
 
-def report_to_csv(report: MetricReport) -> str:
+def report_to_csv(report: MetricReport, header: bool = True) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["dataset", "model", "metric", "category", "value", "support"])
+    if header:
+        writer.writerow(["dataset", "model", "metric", "category", "value", "support"])
     for category, values in [(OVERALL, report.overall)] + sorted(report.by_category.items()):
         for mv in values:
             writer.writerow([report.dataset, report.model, mv.name, category, fmt4(mv.value), mv.support])
     return buf.getvalue()
 
 
+# each emitter formats a list of reports: CSV has one header, Markdown a blank line between tables
 EMITTERS = {
-    "jsonl": report_to_jsonl,
-    "md": report_to_markdown,
-    "csv": report_to_csv,
+    "jsonl": lambda reports: "".join(map(report_to_jsonl, reports)),
+    "md": lambda reports: "\n".join(map(report_to_markdown, reports)),
+    "csv": lambda reports: "".join(report_to_csv(report, header=not i) for i, report in enumerate(reports)),
 }
 

@@ -143,10 +143,12 @@ class RunRecord:
         logprobs = data.get("choice_logprobs")
         for i, choice in enumerate(logprobs or ()):
             for name in ("total_logprob", "normalized_logprob"):
-                value = choice[name]
-                # type(), not isinstance(): a bool is an int, but true is no logprob
-                if type(value) not in (int, float) or not math.isfinite(value):
-                    raise ValueError(f"choice_logprobs[{i}].{name} must be a finite number, got {value!r}")
+                _finite(choice[name], f"choice_logprobs[{i}].{name}")
+        outcomes = data.get("outcomes", [])
+        for i, outcome in enumerate(outcomes):
+            if not isinstance(outcome["metric"], str):
+                raise ValueError(f"outcomes[{i}].metric must be a metric name, got {outcome['metric']!r}")
+            _finite(outcome["score"], f"outcomes[{i}].score")
         return cls(
             item_id=data["item_id"],
             prompt_digest=data.get("prompt_digest", ""),
@@ -155,9 +157,15 @@ class RunRecord:
             response_text=data.get("response_text"),
             choice_logprobs=tuple(logprobs) if logprobs else None,
             extracted=extracted,
-            outcomes=tuple(QuestionOutcome(o["metric"], o["score"]) for o in data.get("outcomes", [])),
+            outcomes=tuple(QuestionOutcome(o["metric"], o["score"]) for o in outcomes),
             error=data.get("error"),
         )
+
+
+def _finite(value, name: str) -> None:
+    # type(), not isinstance(): a bool is an int, but true is no number
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 # --- cache -------------------------------------------------------------------

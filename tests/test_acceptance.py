@@ -189,7 +189,7 @@ def test_criterion_6_concurrency_contract():
             with delay_lock:
                 return rng.random() * 0.004
 
-        stub = StubBackend(delay_fn=delay)
+        stub = StubBackend(_delay_fn=delay)
         records = run_generation_eval(items, stub, RunConfig(concurrency_limit=4))
         assert stub.max_inflight <= 4
         assert [r.item_id for r in records] == [i.id for i in items]

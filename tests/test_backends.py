@@ -320,7 +320,7 @@ class FakeTransport:
 
 class TestHttpBackendErrors:
     def _backend(self, transport):
-        return HttpBackend("http://test", "m", transport=transport)
+        return HttpBackend("http://test", "m", _transport=transport)
 
     def test_rate_limited_carries_retry_after(self):
         for hint in ("7", "300"):  # 300 s is the largest hint honoured
@@ -334,7 +334,7 @@ class TestHttpBackendErrors:
         limited = (429, {"retry-after": hint}, "")
         ok = (200, {}, json.dumps({"choices": [{"message": {"content": "ok"}, "finish_reason": "stop"}]}))
         replies = iter([limited, limited, ok])
-        backend = HttpBackend("http://test", "m", transport=lambda url, body, headers, timeout_s: next(replies))
+        backend = HttpBackend("http://test", "m", _transport=lambda url, body, headers, timeout_s: next(replies))
         with pytest.raises(RateLimited) as err:
             backend.generate(PING, GenerationOptions())
         assert err.value.retry_after_s is None
@@ -370,7 +370,7 @@ class TestHttpBackendErrors:
         transport = FakeTransport(
             body=json.dumps({"choices": [{"message": {"content": "ok"}, "finish_reason": "stop"}]})
         )
-        backend = HttpBackend("http://test", "m", api_key_env="OTHER_KEY", transport=transport)
+        backend = HttpBackend("http://test", "m", api_key_env="OTHER_KEY", _transport=transport)
         backend.generate(PING, GenerationOptions())
         assert transport.calls[0][2]["Authorization"] == "Bearer sk-other"
 
@@ -406,7 +406,7 @@ class TestHttpBackendErrors:
     ])
     def test_base_url_path_or_query_that_cannot_be_sent_is_refused(self, base_url):
         with pytest.raises(ConfigError, match="base_url"):
-            HttpBackend(base_url, "m", transport=FakeTransport())
+            HttpBackend(base_url, "m", _transport=FakeTransport())
 
     @pytest.mark.parametrize("base_url,path", [
         ("http://test/v1/", "/v1/v1/completions"),
@@ -417,18 +417,18 @@ class TestHttpBackendErrors:
     ])
     def test_base_url_that_can_be_sent_is_kept(self, base_url, path):
         transport = FakeTransport(body=json.dumps(_echo_payload(["a", "b"], [None, -1.0], [0, 1])))
-        HttpBackend(base_url, "m", transport=transport).loglikelihood("a", "b")
+        HttpBackend(base_url, "m", _transport=transport).loglikelihood("a", "b")
         parts = urlsplit(transport.calls[0][0])
         assert parts.path + (f"?{parts.query}" if parts.query else "") == path
 
     def test_chat_only_configuration_mirrored(self):
         backend = HttpBackend("http://test", "m", supports_loglikelihood=False,
-                              transport=FakeTransport())
+                              _transport=FakeTransport())
         assert backend.supports_loglikelihood is False
         assert backend.supports_generation is True and backend.supports_images is False
 
     def test_empty_continuation_precondition(self):
-        backend = HttpBackend("http://test", "m", transport=FakeTransport())
+        backend = HttpBackend("http://test", "m", _transport=FakeTransport())
         with pytest.raises(ValueError):
             backend.loglikelihood("context", "")
 

@@ -15,7 +15,7 @@ from omnieval import (
     load_dataset,
     run_generation_eval,
 )
-from omnieval.cli import _BACKENDS, main
+from omnieval.cli import _BACKENDS, _config_keys, main
 from omnieval.errors import BackendRefused
 from omnieval.estimators import METRIC_REGISTRY
 from omnieval.runner import records_to_jsonl
@@ -148,6 +148,16 @@ class TestEval:
         ),
         # q06, the first item past the choice questions, is yes_no and has no choices
         "ppl_on_the_whole_fixture": ({"mode": "ppl"}, "q06"),
+        # a choice line that fails to render every choice, or hides its letter
+        "choice_line_with_unknown_field": ({"template": {"choice_line_format": "{letter}. {text} {x}"}},
+                                           "choice_line_format"),
+        "choice_line_with_positional_field": ({"template": {"choice_line_format": "{letter}. {text} {0}"}},
+                                              "choice_line_format"),
+        "choice_line_with_escaped_letter": ({"template": {"choice_line_format": "{{letter}}. {text}"}},
+                                            "choice_line_format"),
+        "backend_type_list": ({"backend": {"type": ["stub"]}}, "backend"),
+        # a constructor parameter starting with "_" is a test seam, no config key
+        "seam_is_no_key": ({"backend": {"type": "stub", "_failures": []}}, "_failures"),
     }
 
     @pytest.mark.parametrize("extra,named", list(CONFIG_ERRORS.values()), ids=list(CONFIG_ERRORS))
@@ -172,21 +182,45 @@ class TestEval:
         ({"extraction_rules": [{"name": "r", "pattern": "(x)", "bogus": 1}]}, "extraction_rules[0]"),
         ({"generation": {"bogus": 1}}, "generation"),
         ({"bogus": 1}, "config"),
-    ], ids=["template", "extraction_rule", "generation", "top_level"])
+        ({"backend": {"type": "stub", "bogus": 1}}, "backend"),
+        ({"extractor": {"type": "http", "base_url": "http://127.0.0.1:1", "model_name": "x", "bogus": 1}},
+         "extractor"),
+    ], ids=["template", "extraction_rule", "generation", "top_level", "backend", "extractor"])
     def test_unknown_key_is_named_in_one_wording(self, tmp_path, fixture_dataset_path, capsys, extra, where):
         config = make_config(tmp_path, fixture_dataset_path, replies=FIXTURE_REPLIES, extra=extra)
         assert main(["eval", "--config", str(config)]) == 1
         assert capsys.readouterr().err == f"config error: {where}: unknown key 'bogus'\n"
         assert not (tmp_path / "runs").exists() and not (tmp_path / "cache").exists()
 
-    @pytest.mark.parametrize("rule,key", [({"pattern": "(x)"}, "name"), ({"name": "r"}, "pattern"), ({}, "name")],
-                             ids=["no_name", "no_pattern", "empty"])
-    def test_missing_key_is_named_in_one_wording(self, tmp_path, fixture_dataset_path, capsys, rule, key):
-        config = make_config(tmp_path, fixture_dataset_path, replies=FIXTURE_REPLIES,
-                             extra={"extraction_rules": [rule]})
+    @pytest.mark.parametrize("extra,where,key", [
+        ({"extraction_rules": [{"pattern": "(x)"}]}, "extraction_rules[0]", "name"),
+        ({"extraction_rules": [{"name": "r"}]}, "extraction_rules[0]", "pattern"),
+        ({"extraction_rules": [{}]}, "extraction_rules[0]", "name"),
+        ({"backend": {"type": "http", "model_name": "m"}}, "backend", "base_url"),
+        ({"extractor": {"type": "http", "base_url": "http://127.0.0.1:1"}}, "extractor", "model_name"),
+    ], ids=["no_name", "no_pattern", "empty", "http_backend_without_base_url", "extractor_without_model_name"])
+    def test_missing_key_is_named_in_one_wording(self, tmp_path, fixture_dataset_path, capsys, extra, where, key):
+        config = make_config(tmp_path, fixture_dataset_path, replies=FIXTURE_REPLIES, extra=extra)
         assert main(["eval", "--config", str(config)]) == 1
-        assert capsys.readouterr().err == f"config error: extraction_rules[0]: missing key {key!r}\n"
+        assert capsys.readouterr().err == f"config error: {where}: missing key {key!r}\n"
         assert not (tmp_path / "runs").exists() and not (tmp_path / "cache").exists()
+
+    def test_backend_flags_set_base_url_and_model_name(self, tmp_path, fixture_dataset_path, capsys):
+        config = make_config(tmp_path, fixture_dataset_path, replies=FIXTURE_REPLIES)
+        # a stub backend takes no base_url
+        assert main(["eval", "--config", str(config), "--backend", "http://127.0.0.1:1"]) == 1
+        assert capsys.readouterr().err == "config error: backend: unknown key 'base_url'\n"
+        assert not (tmp_path / "runs").exists()
+        http = make_config(tmp_path, fixture_dataset_path,
+                           extra={"backend": {"type": "http", "base_url": "http://127.0.0.1:1", "model_name": "m"}})
+        assert main(["eval", "--config", str(http), "--backend", "localhost:8000"]) == 1
+        assert capsys.readouterr().err == ("config error: base_url must be an http:// or https:// URL with a host, "
+                                           "got 'localhost:8000'\n")
+        config = make_config(tmp_path, fixture_dataset_path, replies=FIXTURE_REPLIES)
+        assert main(["eval", "--config", str(config), "--model", "renamed"]) == 0
+        assert [p.name for p in (tmp_path / "runs" / "fixture10").iterdir()] == ["renamed"]
+        meta = json.loads((tmp_path / "runs" / "fixture10" / "renamed" / "run_meta.json").read_text(encoding="utf-8"))
+        assert meta["model"] == "renamed"
 
     def test_bad_default_question_type_in_meta(self, tmp_path, fixture_dataset_path, capsys):
         dataset = json.loads(fixture_dataset_path.read_text(encoding="utf-8"))
@@ -378,8 +412,8 @@ class TestConfigExtras:
         # and the decoder takes no key that the README leaves out
         declared = [{f.name for f in fields(RunConfig)} | {"backend", "dataset"},
                     {f.name for f in fields(GenerationOptions)}, {f.name for f in fields(PromptTemplate)},
-                    {f.name for f in fields(ExtractionRule)}, _BACKENDS["http"][1] | {"type"},
-                    _BACKENDS["stub"][1] | {"type"}]
+                    {f.name for f in fields(ExtractionRule)}, _config_keys(_BACKENDS["http"])[0] | {"type"},
+                    _config_keys(_BACKENDS["stub"])[0] | {"type"}]
         assert [set(keys) for keys in documented.values()] == declared
 
         path = tmp_path / "config.json"
@@ -486,7 +520,7 @@ class TestScore:
 
     def test_errored_and_unmatched_records_are_kept_as_they_are(self, tmp_path, fixture_dataset_path, caplog):
         manifest, items = load_dataset(fixture_dataset_path)
-        stub = StubBackend(scripted=FIXTURE_REPLIES, failures=[BackendRefused("refused")])
+        stub = StubBackend(scripted=FIXTURE_REPLIES, _failures=[BackendRefused("refused")])
         records = run_generation_eval(items, stub, RunConfig(concurrency_limit=1), manifest)
         assert records[0].error == "BackendRefused: refused"
         # a record of an item that the dataset no longer holds
@@ -649,6 +683,38 @@ class TestReportCommand:
         meta_path.write_text(json.dumps(meta), encoding="utf-8")
         assert main(["report", "--runs", str(tmp_path / "runs")]) == 0
         assert "| category | accuracy |" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fmt", ["md", "csv", "jsonl"])
+    def test_two_runs(self, tmp_path, fixture_dataset_path, capsys, fmt):
+        runs = self._run(tmp_path, fixture_dataset_path)
+        config = make_config(tmp_path, fixture_dataset_path, replies=FIXTURE_REPLIES)
+        main(["eval", "--config", str(config), "--model", "other"])
+        capsys.readouterr()
+        single = []
+        for model in ("other", "stub"):  # the order report reads them in
+            assert main(["report", "--runs", str(runs / "fixture10" / model), "--format", fmt]) == 0
+            single.append(capsys.readouterr().out)
+        assert main(["report", "--runs", str(runs), "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "csv":  # one header line, then both runs' rows
+            header = "dataset,model,metric,category,value,support\n"
+            assert out == header + single[0].removeprefix(header) + single[1].removeprefix(header)
+            assert out.count(header) == 1
+        else:  # markdown tables are parted by a blank line
+            assert out == (single[0] + "\n" + single[1] if fmt == "md" else single[0] + single[1])
+
+    def test_stored_score_that_is_no_number(self, tmp_path, fixture_dataset_path, capsys):
+        runs = self._run(tmp_path, fixture_dataset_path)
+        records_path = runs / "fixture10" / "stub" / "records.jsonl"
+        lines = records_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        record = json.loads(lines[1])
+        record["outcomes"][0]["score"] = "1"
+        lines[1] = json.dumps(record) + "\n"
+        records_path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--runs", str(runs)]) == 2
+        assert capsys.readouterr().err == (f"dataset error: {records_path}, line 2: not a record: "
+                                           "outcomes[0].score must be a finite number, got '1'\n")
 
     def test_empty_runs_dir(self, tmp_path):
         assert main(["report", "--runs", str(tmp_path)]) == 1

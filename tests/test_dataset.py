@@ -253,6 +253,22 @@ class TestValidateItem:
         assert item.extra == {"source_url": "http://example.com"}
         assert item_to_record(item)["source_url"] == "http://example.com"
 
+    def test_round_trip_keeps_images_and_meta_defaults(self, tmp_path):
+        meta = {"name": "omni", "version": "2", "metrics": ["accuracy"], "default_question_type": "single_choice",
+                "language": "en", "domain": "vision", "modality": "image"}
+        records = [
+            {"id": "r1", "instruction": "Which animal?", "choices": ["cat", "dog"], "answer": "A",
+             "images": ["img/cat.png", "img/dog.png"]},
+            {**GOOD_RECORD, "id": "r2", "language": "fr", "cot_directive": "Think."},
+        ]
+        manifest, items = load_dataset(write(tmp_path, {"meta": meta, "data": records}))
+        assert items[0].images == ("img/cat.png", "img/dog.png")
+        assert (items[0].language, items[0].domain, items[0].modality) == ("en", "vision", "image")
+        dumped = dump_dataset(manifest, items)
+        assert dumped["meta"] == meta
+        assert dumped["data"][0]["images"] == ["img/cat.png", "img/dog.png"]
+        assert load_dataset(write(tmp_path, dumped, "again.json")) == (manifest, items)
+
 
 # --- round-trip property ------------------------------------------------------
 

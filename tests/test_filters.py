@@ -174,7 +174,7 @@ class TestModelExtract:
         assert got.status is ExtractionStatus.UNEXTRACTED
 
     def test_transport_failure_is_soft(self):
-        extractor = StubBackend(default_reply="B", failures=[TransportError("down")])
+        extractor = StubBackend(default_reply="B", _failures=[TransportError("down")])
         got = model_extract("mumble", QuestionType.SINGLE_CHOICE, CHOICES4, extractor.generate)
         assert got.status is ExtractionStatus.UNEXTRACTED
 

@@ -292,7 +292,7 @@ class TestGenerationEval:
         stub = StubBackend(scripted={"it001": "the second one, obviously"})
         config = RunConfig(cache_dir=str(tmp_path / "cache"), backoff_base_ms=1)
         failures = [TransportError("down")] * (config.max_retries + 1)
-        down = StubBackend(default_reply="B", failures=failures)
+        down = StubBackend(default_reply="B", _failures=failures)
         first = run_generation_eval(items, stub, replace(config, extractor=down))
         assert first[0].extracted.status.value == "unextracted"
         up = StubBackend(default_reply="B")
@@ -303,7 +303,7 @@ class TestGenerationEval:
     def test_extractor_error_that_is_no_backend_error_fails_only_its_item(self):
         items = [choice_item(1, ["Paris", "Rome"], "B"), choice_item(2, ["Paris", "Rome"], "A")]
         stub = StubBackend(scripted={"it001": "the second one, obviously", "it002": "The answer is A."})
-        extractor = StubBackend(default_reply="B", failures=[RuntimeError("extractor exploded")])
+        extractor = StubBackend(default_reply="B", _failures=[RuntimeError("extractor exploded")])
         records = run_generation_eval(items, stub, RunConfig(extractor=extractor))
         assert records[0].error == "RuntimeError: extractor exploded"
         assert records[0].prompt_digest and records[0].response_text is None
@@ -312,7 +312,7 @@ class TestGenerationEval:
     def test_extractor_call_is_retried(self):
         items = [choice_item(1, ["Paris", "Rome"], "B")]
         stub = StubBackend(scripted={"it001": "the second one, obviously"})
-        extractor = StubBackend(default_reply="B", failures=[RateLimited("slow down")])
+        extractor = StubBackend(default_reply="B", _failures=[RateLimited("slow down")])
         config = RunConfig(extractor=extractor, backoff_base_ms=1)
         records = run_generation_eval(items, stub, config)
         assert records[0].extracted.status.value == "model_extracted"
@@ -431,7 +431,7 @@ class TestGenerationEval:
 
     def test_per_item_failure_does_not_abort(self):
         items = [make_item(1), make_item(2), make_item(3)]
-        stub = StubBackend(failures=[BackendRefused("400 on first call")])
+        stub = StubBackend(_failures=[BackendRefused("400 on first call")])
         config = RunConfig(concurrency_limit=1, max_retries=0)
         records = run_generation_eval(items, stub, config)
         assert len(records) == 3
@@ -440,7 +440,7 @@ class TestGenerationEval:
 
     def test_retry_then_success(self):
         items = [make_item(1)]
-        stub = StubBackend(failures=[TransportError("x"), TransportError("y")])
+        stub = StubBackend(_failures=[TransportError("x"), TransportError("y")])
         config = RunConfig(max_retries=3, backoff_base_ms=1)
         records = run_generation_eval(items, stub, config)
         assert records[0].error is None
@@ -449,7 +449,7 @@ class TestGenerationEval:
     def test_output_order_matches_input_order(self):
         rng = random.Random(7)
         items = [make_item(i) for i in range(50)]
-        stub = StubBackend(delay_fn=lambda: rng.random() * 0.01)
+        stub = StubBackend(_delay_fn=lambda: rng.random() * 0.01)
         config = RunConfig(concurrency_limit=8)
         records = run_generation_eval(items, stub, config)
         assert [r.item_id for r in records] == [i.id for i in items]
@@ -468,14 +468,14 @@ class TestGenerationEval:
 
     def test_concurrency_high_water_mark(self):
         items = [make_item(i) for i in range(40)]
-        stub = StubBackend(delay_fn=lambda: 0.005)
+        stub = StubBackend(_delay_fn=lambda: 0.005)
         records = run_generation_eval(items, stub, RunConfig(concurrency_limit=4))
         assert len(records) == 40
         assert stub.max_inflight <= 4
 
     def test_workers_end_with_the_run(self):
         threads_seen = set()
-        stub = StubBackend(delay_fn=lambda: threads_seen.add(threading.get_ident()) or 0.001)
+        stub = StubBackend(_delay_fn=lambda: threads_seen.add(threading.get_ident()) or 0.001)
         before = threading.active_count()
         records = run_generation_eval([make_item(i) for i in range(3)], stub,
                                       RunConfig(concurrency_limit=8))
@@ -494,7 +494,7 @@ class TestGenerationEval:
             raise Stop("not an Exception")
 
         calls = itertools.count(1)
-        stub = StubBackend(delay_fn=lambda: stop() if next(calls) == 3 else 0.001)
+        stub = StubBackend(_delay_fn=lambda: stop() if next(calls) == 3 else 0.001)
         with pytest.raises(Stop):
             run_generation_eval([make_item(i) for i in range(20)], stub, RunConfig(concurrency_limit=2))
         assert stub.generate_calls < 20  # the workers took no new calls after it
@@ -525,7 +525,7 @@ class TestGenerationEval:
                 signal.pthread_kill(threading.main_thread().ident, signal.SIGUSR1)  # as Ctrl-C would
             return 0.002
 
-        stub = StubBackend(delay_fn=delay)
+        stub = StubBackend(_delay_fn=delay)
         config = RunConfig(concurrency_limit=2, cache_dir=str(tmp_path))
         before = len(os.listdir("/proc/self/fd"))
         previous = signal.signal(signal.SIGUSR1, interrupt)
@@ -682,7 +682,7 @@ class TestPplEval:
     def test_choices_are_fetched_in_parallel_up_to_the_limit(self):
         for n_items, limit in ((1, 4), (6, 3)):
             items = [choice_item(i, ["red", "green", "blue", "grey"], "A") for i in range(n_items)]
-            stub = StubBackend(delay_fn=self._in_step(limit))
+            stub = StubBackend(_delay_fn=self._in_step(limit))
             records = run_ppl_eval(items, stub, RunConfig(mode="ppl", concurrency_limit=limit))
             assert [r.error for r in records] == [None] * n_items
             assert stub.loglikelihood_calls == 4 * n_items
@@ -692,7 +692,7 @@ class TestPplEval:
         # all six calls are in flight at once; then each call sleeps less than the one that came before it
         arrivals = itertools.count()
         in_step = self._in_step(6)
-        stub = StubBackend(delay_fn=lambda: (6 - next(arrivals)) * 0.01 + in_step(),
+        stub = StubBackend(_delay_fn=lambda: (6 - next(arrivals)) * 0.01 + in_step(),
                            logprob_table={f" {c}": (-float(n), 1) for n, c in enumerate("abcdef", 1)})
         items = [choice_item(1, ["a", "b", "c"], "A"), choice_item(2, ["d", "e", "f"], "A")]
         records = run_ppl_eval(items, stub, RunConfig(mode="ppl", concurrency_limit=6))
@@ -736,9 +736,9 @@ class TestPlannedRun:
         """The model and the extractor of ``mode``; with an extractor, every
         reply of the model is one that the regex bank cannot read."""
         if mode != "extractor":
-            return StubBackend(delay_fn=delay_fn), None
+            return StubBackend(_delay_fn=delay_fn), None
         return (StubBackend(default_reply="the second one, obviously"),
-                StubBackend(default_reply="B", model_name="extractor", delay_fn=delay_fn))
+                StubBackend(default_reply="B", model_name="extractor", _delay_fn=delay_fn))
 
     @staticmethod
     def _eval(mode, items, config, stub, extractor=None):
@@ -825,6 +825,23 @@ class TestRescore:
             del choice["total_logprob"]
         else:
             data["choice_logprobs"][1] = {**choice, **entry} if isinstance(entry, dict) else entry
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(data) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=rf"records\.jsonl, line 1: not a record: {re.escape(problem)}$"):
+            read_records(path)
+
+    @pytest.mark.parametrize("outcome,problem", [
+        ({"score": "1"}, "outcomes[0].score must be a finite number, got '1'"),
+        ({"score": True}, "outcomes[0].score must be a finite number, got True"),
+        ({"score": None}, "outcomes[0].score must be a finite number, got None"),
+        ({"score": float("nan")}, "outcomes[0].score must be a finite number, got nan"),
+        ({"score": float("inf")}, "outcomes[0].score must be a finite number, got inf"),
+        ({"metric": 5}, "outcomes[0].metric must be a metric name, got 5"),
+        ({"metric": None}, "outcomes[0].metric must be a metric name, got None"),
+    ], ids=["string", "bool", "null", "nan", "infinite", "metric_number", "metric_null"])
+    def test_bad_outcome_is_refused(self, tmp_path, outcome, problem):
+        data = self._ppl_run()[1][0].to_dict()
+        data["outcomes"][0].update(outcome)
         path = tmp_path / "records.jsonl"
         path.write_text(json.dumps(data) + "\n", encoding="utf-8")
         with pytest.raises(ParseError, match=rf"records\.jsonl, line 1: not a record: {re.escape(problem)}$"):
