@@ -101,7 +101,12 @@ class Backend(ABC):
                  supports_images: bool):
         if not isinstance(model_name, str):
             raise ConfigError(f"model_name must be a string, got {model_name!r}")
-        if not (supports_generation or supports_loglikelihood or supports_images):
+        flags = {"supports_generation": supports_generation, "supports_loglikelihood": supports_loglikelihood,
+                 "supports_images": supports_images}
+        for name, flag in flags.items():
+            if type(flag) is not bool:
+                raise ConfigError(f"{name} must be true or false, got {flag!r}")
+        if not any(flags.values()):
             raise ConfigError("a backend must support at least one capability")
         self.model_name = model_name
         self.supports_generation = supports_generation

@@ -70,8 +70,8 @@ def _config_keys(cls) -> tuple[frozenset, tuple]:
 def _build(cls, raw, where: str, **built):
     """``cls(**raw)`` for the JSON object ``raw``, ``built`` holding values
     already decoded from it. A key that is no config key of ``cls``, a
-    required one that it lacks, or a bad value that ``cls`` does not name
-    itself, is a ConfigError naming ``where``."""
+    required one that it lacks, or a bad value, is a ConfigError naming
+    ``where``; ``cls`` names only the field."""
     raw = _object(raw, where)
     accepted, required = _config_keys(cls)
     # refused here, since the constructor's own TypeError words them the interpreter's way
@@ -81,7 +81,7 @@ def _build(cls, raw, where: str, **built):
         raise ConfigError(f"{where}: missing key {missing[0]!r}")
     try:
         return cls(**{**raw, **built})
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (ConfigError, TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 

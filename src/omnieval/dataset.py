@@ -17,6 +17,7 @@ from .errors import EmptyDataset, ParseError, SchemaError
 from .estimators import METRIC_REGISTRY
 from .filters import LETTERS, YES_NO_WORDS, QuestionType, normalize_text
 
+# the category of the report's row over all items, which no record may take
 RESERVED_CATEGORY = "__all__"
 
 
@@ -66,14 +67,12 @@ class DatasetManifest:
     def __post_init__(self):
         metrics = self.metrics
         if not isinstance(metrics, (list, tuple)) or not all(isinstance(name, str) for name in metrics):
-            raise SchemaError(f"bad field: meta.metrics: must be a list of metric names, got {metrics!r}")
+            raise SchemaError(f"bad field: metrics: must be a list of metric names, got {metrics!r}")
         object.__setattr__(self, "metrics", tuple(metrics))
         for name in self.metrics:
             if name not in METRIC_REGISTRY:
-                raise SchemaError(
-                    f"manifest {self.name!r}: unknown metric {name!r} "
-                    f"(known: {', '.join(sorted(METRIC_REGISTRY))})"
-                )
+                raise SchemaError(f"bad field: metrics: unknown metric {name!r} "
+                                  f"(known: {', '.join(sorted(METRIC_REGISTRY))})")
 
 
 def load_dataset(path, default_question_type: QuestionType | None = None,
@@ -119,25 +118,27 @@ def load_dataset(path, default_question_type: QuestionType | None = None,
 
 
 def _manifest_from_meta(meta: dict, fallback_name: str, default_question_type, default_metrics) -> DatasetManifest:
-    name = meta.get("name", fallback_name)
-    if not isinstance(name, str):
-        raise SchemaError(f"bad field: meta.name: must be a string, got {name!r}")
-    qtype = meta.get("default_question_type")
     try:
-        default_qtype = QuestionType(qtype) if qtype else default_question_type
-    except ValueError:
-        raise SchemaError(f"bad field: meta.default_question_type: {qtype!r}") from None
-    bad = lambda: "bad field: meta."
-    return DatasetManifest(
-        name=name,
-        version=str(meta.get("version", "0")),
-        default_question_type=default_qtype,
-        metrics=meta.get("metrics", default_metrics),
-        language=_text(meta, "language", None, bad),
-        domain=_text(meta, "domain", None, bad),
-        modality=_text(meta, "modality", None, bad),
-        few_shot=_few_shot(meta, lambda: "meta", bad, {}),
-    )
+        name = meta.get("name", fallback_name)
+        if not isinstance(name, str):
+            raise SchemaError(f"bad field: name: must be a string, got {name!r}")
+        qtype = meta.get("default_question_type")
+        try:
+            default_qtype = QuestionType(qtype) if qtype else default_question_type
+        except ValueError:
+            raise SchemaError(f"bad field: default_question_type: {qtype!r}") from None
+        return DatasetManifest(
+            name=name,
+            version=str(meta.get("version", "0")),
+            default_question_type=default_qtype,
+            metrics=meta.get("metrics", default_metrics),
+            language=_text(meta, "language", None),
+            domain=_text(meta, "domain", None),
+            modality=_text(meta, "modality", None),
+            few_shot=_few_shot(meta, {}),
+        )
+    except SchemaError as exc:
+        raise SchemaError(f"meta: {exc}") from None
 
 
 def validate_item(record, manifest: DatasetManifest, index: int = 0, exemplars: dict | None = None) -> EvalItem:
@@ -149,102 +150,96 @@ def validate_item(record, manifest: DatasetManifest, index: int = 0, exemplars: 
     few-shot exemplars already accepted to their loaded form, which records
     passing the same dict share.
     """
-    if not isinstance(record, dict):
-        raise SchemaError(f"record at index {index}: not an object")
-    rid = record.get("id")
-
-    # the location is only formatted for a message
-    def where():
-        return f"record {rid!r} (index {index})" if rid else f"record at index {index}"
-
-    def bad():
-        return f"{where()}: bad field: "
-
-    def fail(detail):
-        raise SchemaError(f"{where()}: {detail}")
-
-    if not rid or not isinstance(rid, str):
-        fail("missing field: id")
-    instruction = record.get("instruction")
-    if not isinstance(instruction, str) or not instruction.strip():
-        fail("missing field: instruction")
-
-    qtype_raw = record.get("question_type") or (
-        manifest.default_question_type.value if manifest.default_question_type else None
-    )
-    if not qtype_raw:
-        fail("missing field: question_type")
+    rid = record.get("id") if isinstance(record, dict) else None
     try:
-        qtype = QuestionType(qtype_raw)
-    except ValueError:
-        fail(f"bad field: question_type: {qtype_raw!r}")
+        if not isinstance(record, dict):
+            raise SchemaError("not an object")
+        if not rid or not isinstance(rid, str):
+            raise SchemaError("missing field: id")
+        instruction = record.get("instruction")
+        if not isinstance(instruction, str) or not instruction.strip():
+            raise SchemaError("missing field: instruction")
 
-    choices = record.get("choices")
-    if choices is not None:
-        choices = _choices(choices, where, "choices")
-    if qtype in (QuestionType.SINGLE_CHOICE, QuestionType.MULTIPLE_CHOICE) and not choices:
-        fail("missing field: choices")
+        qtype_raw = record.get("question_type") or (
+            manifest.default_question_type.value if manifest.default_question_type else None
+        )
+        if not qtype_raw:
+            raise SchemaError("missing field: question_type")
+        try:
+            qtype = QuestionType(qtype_raw)
+        except ValueError:
+            raise SchemaError(f"bad field: question_type: {qtype_raw!r}") from None
 
-    if "answer" not in record or record["answer"] is None:
-        fail("missing field: answer")
-    answer = _canonical_answer(record["answer"], qtype, choices, fail)
+        choices = record.get("choices")
+        if choices is not None:
+            choices = _choices(choices, "choices")
+        if qtype in (QuestionType.SINGLE_CHOICE, QuestionType.MULTIPLE_CHOICE) and not choices:
+            raise SchemaError("missing field: choices")
 
-    few_shot = _few_shot(record, where, bad, {} if exemplars is None else exemplars) or manifest.few_shot
+        if "answer" not in record or record["answer"] is None:
+            raise SchemaError("missing field: answer")
+        answer = _canonical_answer(record["answer"], qtype, choices)
 
-    category = _text(record, "category", None, bad)
-    if category == RESERVED_CATEGORY:
-        fail(f"bad field: category: {RESERVED_CATEGORY!r} is reserved")
+        few_shot = _few_shot(record, {} if exemplars is None else exemplars) or manifest.few_shot
 
-    images = record.get("images", [])
-    if not isinstance(images, list) or not all(isinstance(p, str) for p in images):
-        fail("bad field: images: must be a list of paths")
+        category = _text(record, "category", None)
+        if category == RESERVED_CATEGORY:
+            raise SchemaError(f"bad field: category: {RESERVED_CATEGORY!r} is reserved")
 
-    extra = {k: v for k, v in record.items() if k not in _RECORD_KEYS}
-    return EvalItem(
-        id=rid,
-        instruction=instruction,
-        question_type=qtype,
-        answer=answer,
-        choices=choices,
-        few_shot=few_shot,
-        cot_directive=_text(record, "cot_directive", None, bad),
-        images=tuple(images),
-        category=category,
-        language=_text(record, "language", manifest.language, bad),
-        domain=_text(record, "domain", manifest.domain, bad),
-        modality=_text(record, "modality", manifest.modality, bad),
-        extra=extra,
-    )
+        images = record.get("images", [])
+        if not isinstance(images, list) or not all(isinstance(p, str) for p in images):
+            raise SchemaError("bad field: images: must be a list of paths")
+
+        extra = {k: v for k, v in record.items() if k not in _RECORD_KEYS}
+        return EvalItem(
+            id=rid,
+            instruction=instruction,
+            question_type=qtype,
+            answer=answer,
+            choices=choices,
+            few_shot=few_shot,
+            cot_directive=_text(record, "cot_directive", None),
+            images=tuple(images),
+            category=category,
+            language=_text(record, "language", manifest.language),
+            domain=_text(record, "domain", manifest.domain),
+            modality=_text(record, "modality", manifest.modality),
+            extra=extra,
+        )
+    except SchemaError as exc:
+        where = f"record {rid!r} (index {index})" if rid else f"record at index {index}"
+        raise SchemaError(f"{where}: {exc}") from None
 
 
 # a ground truth may also abbreviate; a reply's "y" or "n" is no answer
 _TRUTH_WORDS = {**YES_NO_WORDS, "y": "yes", "n": "no"}
 
 
-def _canonical_answer(answer, qtype, choices, fail):
+def _canonical_answer(answer, qtype, choices):
     if qtype is QuestionType.SINGLE_CHOICE:
         letter = _parse_letter(answer, choices)
         if letter is None:
-            fail(f"bad field: answer: {answer!r} is not a letter within the {len(choices)} choices")
+            raise SchemaError(f"bad field: answer: {answer!r} is not a letter within the {len(choices)} choices")
         return letter
     if qtype is QuestionType.MULTIPLE_CHOICE:
         letters = _parse_letter_set(answer, choices)
         if not letters:
-            fail(f"bad field: answer: {answer!r} is not a letter set within the {len(choices)} choices")
+            raise SchemaError(f"bad field: answer: {answer!r} is not a letter set "
+                              f"within the {len(choices)} choices")
         return letters
     if qtype is QuestionType.YES_NO:
         token = normalize_text(str(answer)) if not isinstance(answer, bool) else ("yes" if answer else "no")
         if token in _TRUTH_WORDS:
             return _TRUTH_WORDS[token]
-        fail(f"bad field: answer: {answer!r} does not normalize to yes or no")
+        raise SchemaError(f"bad field: answer: {answer!r} does not normalize to yes or no")
     # fill_blank / free_open: a string or a list of accepted alternatives
     if isinstance(answer, str):
         if not answer.strip():
-            fail("missing field: answer")
+            raise SchemaError("missing field: answer")
         return answer
     if isinstance(answer, list) and answer and all(isinstance(a, str) and a.strip() for a in answer):
         return tuple(answer)
-    fail(f"bad field: answer: expected text or a list of texts, got {answer!r}")
+    raise SchemaError(f"bad field: answer: expected text or a list of texts, got {answer!r}")
 
 
 def _parse_letter(answer, choices) -> str | None:
@@ -272,31 +267,30 @@ def _parse_letter_set(answer, choices) -> tuple[str, ...] | None:
     return tuple(sorted(letters)) if letters else None
 
 
-# Error locations are passed as functions that return them, called only to
-# raise: ``where()`` names the record, ``bad()`` starts a message up to the
-# field's name.
+# The checks below name only the field; validate_item and _manifest_from_meta
+# put the record or ``meta`` before their messages.
 
-def _text(raw: dict, key: str, default, bad) -> str | None:
+def _text(raw: dict, key: str, default) -> str | None:
     """``raw[key]`` if it is a string or null, ``default`` if it is absent."""
     value = raw.get(key, default)
     if value is not None and not isinstance(value, str):
-        raise SchemaError(f"{bad()}{key}: must be a string or null, got {value!r}")
+        raise SchemaError(f"bad field: {key}: must be a string or null, got {value!r}")
     return value
 
 
-def _few_shot(raw: dict, where, bad, accepted: dict) -> tuple[FewShotExemplar, ...]:
+def _few_shot(raw: dict, accepted: dict) -> tuple[FewShotExemplar, ...]:
     exemplars = raw.get("few_shot", [])
     if not isinstance(exemplars, list):
-        raise SchemaError(f"{bad()}few_shot: must be a list of objects, got {exemplars!r}")
-    return tuple(_exemplar(f, where, i, accepted) for i, f in enumerate(exemplars))
+        raise SchemaError(f"bad field: few_shot: must be a list of objects, got {exemplars!r}")
+    return tuple(_exemplar(f, i, accepted) for i, f in enumerate(exemplars))
 
 
-def _exemplar(raw, where, index, accepted: dict) -> FewShotExemplar:
+def _exemplar(raw, index, accepted: dict) -> FewShotExemplar:
     """The exemplar of ``raw``. ``accepted`` maps the key of each exemplar
     that passed these checks to it; a raw exemplar with the same key is that
     one, without checking it again."""
     if not isinstance(raw, dict):
-        raise SchemaError(f"{where()}: bad field: few_shot[{index}]: not an object")
+        raise SchemaError(f"bad field: few_shot[{index}]: not an object")
     instruction = raw.get("instruction")
     answer = raw.get("answer")
     choices = raw.get("choices")
@@ -307,19 +301,19 @@ def _exemplar(raw, where, index, accepted: dict) -> FewShotExemplar:
     except (KeyError, TypeError):  # not seen yet, or holding an unhashable value, which the checks refuse
         pass
     if not isinstance(instruction, str) or not instruction.strip():
-        raise SchemaError(f"{where()}: missing field: few_shot[{index}].instruction")
+        raise SchemaError(f"missing field: few_shot[{index}].instruction")
     if not isinstance(answer, str) or not answer.strip():
-        raise SchemaError(f"{where()}: missing field: few_shot[{index}].answer")
+        raise SchemaError(f"missing field: few_shot[{index}].answer")
     if choices is not None:
-        choices = _choices(choices, where, f"few_shot[{index}].choices")
+        choices = _choices(choices, f"few_shot[{index}].choices")
     exemplar = accepted[key] = FewShotExemplar(instruction, answer, choices or None)
     return exemplar
 
 
-def _choices(raw, where, name) -> tuple[str, ...]:
+def _choices(raw, name) -> tuple[str, ...]:
     # one letter per option: A to Z
     if not isinstance(raw, list) or len(raw) > len(LETTERS) or not all(isinstance(c, str) for c in raw):
-        raise SchemaError(f"{where()}: bad field: {name}: must be a list of at most {len(LETTERS)} strings")
+        raise SchemaError(f"bad field: {name}: must be a list of at most {len(LETTERS)} strings")
     return tuple(raw)
 
 

@@ -98,20 +98,18 @@ class ExtractionRule:
 
     def __post_init__(self):
         if type(self.capture_group) is not int or self.capture_group < 0:
-            raise ConfigError(f"rule {self.name!r}: capture_group must be an integer >= 0")
+            raise ConfigError("capture_group must be an integer >= 0")
         types = self.applicable_types
         if not isinstance(types, (list, tuple, set, frozenset)):
-            raise ConfigError(f"rule {self.name!r}: applicable_types must be a list, got {types!r}")
-        types = frozenset(config_enum(QuestionType, t, f"rule {self.name!r}: applicable_types") for t in types)
+            raise ConfigError(f"applicable_types must be a list, got {types!r}")
+        types = frozenset(config_enum(QuestionType, t, "applicable_types") for t in types)
         object.__setattr__(self, "applicable_types", types)
         try:
             compiled = re.compile(self.pattern)
         except re.error as exc:
-            raise ConfigError(f"rule {self.name!r}: pattern does not compile: {exc}") from exc
+            raise ConfigError(f"pattern does not compile: {exc}") from exc
         if self.capture_group > compiled.groups:
-            raise ConfigError(
-                f"rule {self.name!r}: capture group {self.capture_group} not in pattern"
-            )
+            raise ConfigError(f"capture group {self.capture_group} not in pattern")
         object.__setattr__(self, "_compiled", compiled)
 
     @property

@@ -14,13 +14,12 @@ import json
 import math
 from dataclasses import dataclass
 
-from .dataset import DatasetManifest
+from .dataset import RESERVED_CATEGORY, DatasetManifest
 from .errors import EmptyRun
 from .estimators import MetricValue, candidate_text, corpus_bleu, reference_texts
 from .filters import ExtractionStatus
 from .runner import RunRecord
 
-OVERALL = "__all__"
 UNCATEGORIZED = "uncategorized"
 
 
@@ -117,7 +116,7 @@ def report_to_jsonl(report: MetricReport) -> str:
             sort_keys=True,
         )
     ]
-    for category, values in [(OVERALL, report.overall)] + sorted(report.by_category.items()):
+    for category, values in [(RESERVED_CATEGORY, report.overall)] + sorted(report.by_category.items()):
         for mv in values:
             lines.append(
                 json.dumps(
@@ -147,7 +146,7 @@ def report_to_markdown(report: MetricReport) -> str:
         "| category | " + " | ".join(names) + " |",
         "| --- |" + " --- |" * len(names),
     ]
-    rows = [(OVERALL, report.overall)] + sorted(report.by_category.items())
+    rows = [(RESERVED_CATEGORY, report.overall)] + sorted(report.by_category.items())
     for category, values in rows:
         cells = []
         by_name = {mv.name: mv for mv in values}
@@ -163,7 +162,7 @@ def report_to_csv(report: MetricReport, header: bool = True) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     if header:
         writer.writerow(["dataset", "model", "metric", "category", "value", "support"])
-    for category, values in [(OVERALL, report.overall)] + sorted(report.by_category.items()):
+    for category, values in [(RESERVED_CATEGORY, report.overall)] + sorted(report.by_category.items()):
         for mv in values:
             writer.writerow([report.dataset, report.model, mv.name, category, fmt4(mv.value), mv.support])
     return buf.getvalue()

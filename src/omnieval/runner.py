@@ -129,6 +129,11 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunRecord":
+        if not isinstance(data["item_id"], str):
+            raise ValueError(f"item_id must be a string, got {data['item_id']!r}")
+        for name in ("category", "response_text", "error"):
+            if not isinstance(data.get(name), (str, type(None))):
+                raise ValueError(f"{name} must be a string or null, got {data[name]!r}")
         extracted = None
         raw = data.get("extracted")
         if raw is not None:

@@ -89,7 +89,7 @@ class TestEval:
     def test_config_value_of_wrong_type(self, tmp_path, fixture_dataset_path, capsys):
         config = make_config(tmp_path, fixture_dataset_path, extra={"limit": "5"})
         assert main(["eval", "--config", str(config)]) == 1
-        assert capsys.readouterr().err == "config error: limit must be an integer, got '5'\n"
+        assert capsys.readouterr().err == "config error: config: limit must be an integer, got '5'\n"
         assert not (tmp_path / "runs").exists()
 
     # (config keys to set, the words the one error line must hold: the field's
@@ -158,6 +158,10 @@ class TestEval:
         "backend_type_list": ({"backend": {"type": ["stub"]}}, "backend"),
         # a constructor parameter starting with "_" is a test seam, no config key
         "seam_is_no_key": ({"backend": {"type": "stub", "_failures": []}}, "_failures"),
+        # a capability flag is true or false, never a value that reads like one
+        "supports_loglikelihood_number": ({"backend": {"type": "stub", "supports_loglikelihood": 0}},
+                                          "supports_loglikelihood"),
+        "supports_images_null": ({"extractor": {"type": "stub", "supports_images": None}}, "supports_images"),
     }
 
     @pytest.mark.parametrize("extra,named", list(CONFIG_ERRORS.values()), ids=list(CONFIG_ERRORS))
@@ -170,11 +174,30 @@ class TestEval:
         assert re.search(rf"\b{named}\b", lines[0]), lines[0]
         assert not (tmp_path / "runs").exists()
 
+    # a bad value is named by the section it came in: a backend's and an extractor's differ
+    @pytest.mark.parametrize("extra,line", [
+        ({"backend": {"type": "http", "base_url": "localhost:8000", "model_name": "m"}},
+         "backend: base_url must be an http:// or https:// URL with a host, got 'localhost:8000'"),
+        ({"extractor": {"type": "http", "base_url": "localhost:8000", "model_name": "m"}},
+         "extractor: base_url must be an http:// or https:// URL with a host, got 'localhost:8000'"),
+        ({"generation": {"temperature": -1}}, "generation: temperature must be a number >= 0, got -1"),
+        ({"extraction_rules": [{"name": "r", "pattern": "(x)", "capture_group": 5}]},
+         "extraction_rules[0]: capture group 5 not in pattern"),
+        ({"backend": {"type": "stub", "supports_generation": "false"}},
+         "backend: supports_generation must be true or false, got 'false'"),
+    ], ids=["backend_base_url", "extractor_base_url", "generation_temperature", "rule_capture_group",
+            "backend_flag"])
+    def test_bad_value_is_named_by_its_section(self, tmp_path, fixture_dataset_path, capsys, extra, line):
+        config = make_config(tmp_path, fixture_dataset_path, replies=FIXTURE_REPLIES, extra=extra)
+        assert main(["eval", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"config error: {line}\n"
+        assert not (tmp_path / "runs").exists() and not (tmp_path / "cache").exists()
+
     def test_template_field_of_wrong_type(self, tmp_path, fixture_dataset_path, capsys):
         config = make_config(tmp_path, fixture_dataset_path, replies=FIXTURE_REPLIES,
                              extra={"template": {"answer_prefix": 5}})
         assert main(["eval", "--config", str(config)]) == 1
-        assert capsys.readouterr().err == "config error: answer_prefix must be a string, got 5\n"
+        assert capsys.readouterr().err == "config error: template: answer_prefix must be a string, got 5\n"
         assert not (tmp_path / "runs").exists() and not (tmp_path / "cache").exists()
 
     @pytest.mark.parametrize("extra,where", [
@@ -214,8 +237,8 @@ class TestEval:
         http = make_config(tmp_path, fixture_dataset_path,
                            extra={"backend": {"type": "http", "base_url": "http://127.0.0.1:1", "model_name": "m"}})
         assert main(["eval", "--config", str(http), "--backend", "localhost:8000"]) == 1
-        assert capsys.readouterr().err == ("config error: base_url must be an http:// or https:// URL with a host, "
-                                           "got 'localhost:8000'\n")
+        assert capsys.readouterr().err == ("config error: backend: base_url must be an http:// or https:// URL "
+                                           "with a host, got 'localhost:8000'\n")
         config = make_config(tmp_path, fixture_dataset_path, replies=FIXTURE_REPLIES)
         assert main(["eval", "--config", str(config), "--model", "renamed"]) == 0
         assert [p.name for p in (tmp_path / "runs" / "fixture10").iterdir()] == ["renamed"]
@@ -229,10 +252,10 @@ class TestEval:
         dataset_path.write_text(json.dumps(dataset), encoding="utf-8")
         config = make_config(tmp_path, dataset_path, replies=FIXTURE_REPLIES)
         assert main(["eval", "--config", str(config)]) == 2
-        assert capsys.readouterr().err == "dataset error: bad field: meta.default_question_type: 'nope'\n"
+        assert capsys.readouterr().err == "dataset error: meta: bad field: default_question_type: 'nope'\n"
         assert not (tmp_path / "runs").exists()
         assert main(["validate", "--dataset", str(dataset_path)]) == 1
-        assert capsys.readouterr().out == "INVALID: bad field: meta.default_question_type: 'nope'\n"
+        assert capsys.readouterr().out == "INVALID: meta: bad field: default_question_type: 'nope'\n"
 
     @pytest.mark.parametrize("part,field", [
         ("record", "few_shot"), ("record", "category"), ("record", "cot_directive"), ("record", "language"),
@@ -625,8 +648,8 @@ class TestReportCommand:
     @pytest.mark.parametrize("damage,message", [
         (lambda meta: "{not json", "not JSON"),
         (lambda meta: json.dumps({**meta, "metrics": "accuracy"}),
-         "bad field: meta.metrics: must be a list of metric names, got 'accuracy'"),
-        (lambda meta: json.dumps({**meta, "metrics": ["nope"]}), "manifest 'fixture10': unknown metric 'nope' ("),
+         "bad field: metrics: must be a list of metric names, got 'accuracy'"),
+        (lambda meta: json.dumps({**meta, "metrics": ["nope"]}), "bad field: metrics: unknown metric 'nope' ("),
     ], ids=["not_json", "metrics_not_a_list", "unknown_metric"])
     def test_unreadable_run_meta(self, tmp_path, fixture_dataset_path, capsys, damage, message):
         runs = self._run(tmp_path, fixture_dataset_path)
@@ -715,6 +738,17 @@ class TestReportCommand:
         assert main(["report", "--runs", str(runs)]) == 2
         assert capsys.readouterr().err == (f"dataset error: {records_path}, line 2: not a record: "
                                            "outcomes[0].score must be a finite number, got '1'\n")
+
+    def test_stored_category_that_is_no_string(self, tmp_path, fixture_dataset_path, capsys):
+        runs = self._run(tmp_path, fixture_dataset_path)
+        records_path = runs / "fixture10" / "stub" / "records.jsonl"
+        lines = records_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[0] = json.dumps({**json.loads(lines[0]), "category": 5}) + "\n"
+        records_path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--runs", str(runs)]) == 2
+        assert capsys.readouterr().err == (f"dataset error: {records_path}, line 1: not a record: "
+                                           "category must be a string or null, got 5\n")
 
     def test_empty_runs_dir(self, tmp_path):
         assert main(["report", "--runs", str(tmp_path)]) == 1

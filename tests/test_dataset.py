@@ -93,13 +93,13 @@ class TestLoadDataset:
 
     def test_metrics_must_be_a_list(self, tmp_path):
         payload = {"meta": {"name": "x", "metrics": "accuracy"}, "data": [GOOD_RECORD]}
-        with pytest.raises(SchemaError, match="meta.metrics: must be a list"):
+        with pytest.raises(SchemaError, match="meta: bad field: metrics: must be a list"):
             load_dataset(write(tmp_path, payload))
 
     @pytest.mark.parametrize("qtype", ["nope", ["fill_blank"]])
     def test_bad_default_question_type(self, tmp_path, qtype):
         payload = {"meta": {"name": "x", "default_question_type": qtype}, "data": [GOOD_RECORD]}
-        with pytest.raises(SchemaError, match="bad field: meta.default_question_type"):
+        with pytest.raises(SchemaError, match="meta: bad field: default_question_type"):
             load_dataset(write(tmp_path, payload))
 
     def test_deterministic(self, tmp_path):

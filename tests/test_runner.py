@@ -847,6 +847,20 @@ class TestRescore:
         with pytest.raises(ParseError, match=rf"records\.jsonl, line 1: not a record: {re.escape(problem)}$"):
             read_records(path)
 
+    @pytest.mark.parametrize("field,value,problem", [
+        ("item_id", ["q02"], "item_id must be a string, got ['q02']"),
+        ("item_id", None, "item_id must be a string, got None"),
+        ("category", 5, "category must be a string or null, got 5"),
+        ("response_text", 5, "response_text must be a string or null, got 5"),
+        ("error", {"kind": "x"}, "error must be a string or null, got {'kind': 'x'}"),
+    ], ids=["item_id_list", "item_id_null", "category_number", "response_text_number", "error_object"])
+    def test_field_of_wrong_type_is_refused(self, tmp_path, field, value, problem):
+        data = {**self._ppl_run()[1][0].to_dict(), field: value}
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(data) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=rf"records\.jsonl, line 1: not a record: {re.escape(problem)}$"):
+            read_records(path)
+
 
 # Puts ``count`` entries of over 8 KiB each into a cache directory shared
 # with another process.
