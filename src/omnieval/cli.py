@@ -109,7 +109,7 @@ def build_run_config(raw: dict) -> RunConfig:
     if "extraction_rules" in raw:
         rules = raw["extraction_rules"]
         if not isinstance(rules, list):
-            raise ConfigError(f"extraction_rules must be a list of objects, got {rules!r}")
+            raise ConfigError(f"extraction_rules: must be a list of objects, got {rules!r}")
         built["extraction_rules"] = tuple(
             _build(ExtractionRule, rule, f"extraction_rules[{i}]") for i, rule in enumerate(rules)
         )
@@ -128,12 +128,12 @@ def cmd_eval(args) -> int:
 
     config = build_run_config(raw)
     if config.output_dir is None:
-        raise ConfigError("output_dir must be set (config file or --output)")
+        raise ConfigError("config: output_dir must be set (config file or --output)")
     backend = build_backend(backend_desc)
 
     dataset_path = args.dataset or raw.get("dataset")
     if not isinstance(dataset_path, str):
-        raise ConfigError(f"dataset must be a path (config file or --dataset), got {dataset_path!r}")
+        raise ConfigError(f"config: dataset must be a path (config file or --dataset), got {dataset_path!r}")
     manifest, items = load_dataset(dataset_path, config.default_question_type, config.default_metrics)
 
     started = datetime.now(timezone.utc).isoformat()

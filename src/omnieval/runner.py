@@ -136,15 +136,12 @@ class RunRecord:
                 raise ValueError(f"{name} must be a string or null, got {data[name]!r}")
         extracted = None
         raw = data.get("extracted")
+        if not isinstance(raw, (dict, type(None))):
+            raise ValueError(f"extracted must be an object or null, got {raw!r}")
         if raw is not None:
-            value = raw.get("value")
-            extracted = ExtractedAnswer(
-                tuple(value) if isinstance(value, list) else value,
-                ExtractionStatus(raw["status"]),
-                raw.get("rule_name"),
-                raw.get("raw_span"),
-            )
-        truth = data.get("ground_truth")
+            value = _texts(raw.get("value"), "extracted.value")
+            extracted = ExtractedAnswer(value, ExtractionStatus(raw["status"]), raw.get("rule_name"),
+                                        raw.get("raw_span"))
         logprobs = data.get("choice_logprobs")
         for i, choice in enumerate(logprobs or ()):
             for name in ("total_logprob", "normalized_logprob"):
@@ -158,13 +155,22 @@ class RunRecord:
             item_id=data["item_id"],
             prompt_digest=data.get("prompt_digest", ""),
             category=data.get("category"),
-            ground_truth=tuple(truth) if isinstance(truth, list) else truth,
+            ground_truth=_texts(data.get("ground_truth"), "ground_truth"),
             response_text=data.get("response_text"),
             choice_logprobs=tuple(logprobs) if logprobs else None,
             extracted=extracted,
             outcomes=tuple(QuestionOutcome(o["metric"], o["score"]) for o in outcomes),
             error=data.get("error"),
         )
+
+
+def _texts(value, name: str):
+    """``value`` as a stored answer: a string, a tuple of strings or None."""
+    if isinstance(value, list) and all(isinstance(text, str) for text in value):
+        return tuple(value)
+    if not isinstance(value, (str, type(None))):
+        raise ValueError(f"{name} must be a string, a list of strings or null, got {value!r}")
+    return value
 
 
 def _finite(value, name: str) -> None:
@@ -349,22 +355,11 @@ def with_retries(thunk, *, max_retries: int = 3, backoff_base_ms: int = 500, sle
 EXTRACTION_OPTIONS = GenerationOptions(temperature=0.0, max_new_tokens=64)
 
 
-def _extraction_bundle(raw: str, qtype: QuestionType, choices) -> PromptBundle:
-    return PromptBundle(system_text=None, turns=(Turn("user", extraction_prompt(raw, qtype, choices)),))
-
-
-def model_extract(raw: str, qtype: QuestionType, choices: list[str] | tuple[str, ...] | None, generate,
+def model_extract(reply: str, qtype: QuestionType, choices: list[str] | tuple[str, ...] | None,
                   rules: tuple[ExtractionRule, ...] = ()) -> ExtractedAnswer:
-    """Ask an extractor model to isolate the answer, then run the regex bank
-    again on its reply. ``generate(bundle, options)`` makes the model call; a
-    ``BackendError`` from it degrades to ``unextracted`` and never propagates."""
-    bundle = _extraction_bundle(raw, qtype, choices)
-    try:
-        reply = generate(bundle, EXTRACTION_OPTIONS)
-    except BackendError as exc:
-        logger.warning("model extraction failed: %s", exc)
-        return UNEXTRACTED
-    second = extract_answer(reply.text, qtype, choices, rules)
+    """The second pass: the regex bank run again on the text of an extractor
+    model's ``reply`` to ``extraction_prompt``."""
+    second = extract_answer(reply, qtype, choices, rules)
     if second.status is ExtractionStatus.UNEXTRACTED:
         return UNEXTRACTED
     return ExtractedAnswer(second.value, ExtractionStatus.MODEL_EXTRACTED, second.rule_name, second.raw_span)
@@ -509,7 +504,8 @@ def _run(
         extracted = extract_answer(text, item.question_type, item.choices, config.extraction_rules)
         extract_key = None
         if extracted.status is ExtractionStatus.UNEXTRACTED and extractor is not None:
-            bundle = _extraction_bundle(text, item.question_type, item.choices)
+            prompt = extraction_prompt(text, item.question_type, item.choices)
+            bundle = PromptBundle(system_text=None, turns=(Turn("user", prompt),))
             extract_key = extract_keys.generate(bundle)
             want(extract_key, "generate", extractor.generate, bundle, EXTRACTION_OPTIONS)
         return digest, text, extracted, extract_key
@@ -522,9 +518,12 @@ def _run(
             return _ppl_record(item, digest, per_choice)
         text, extracted, extract_key = planned
         if extract_key is not None:
-            # the extractor's reply was fetched with the others; a BackendError it raises degrades to unextracted
-            generate = lambda bundle, options: reply(extract_key)
-            extracted = model_extract(text, item.question_type, item.choices, generate, config.extraction_rules)
+            try:
+                extracted = model_extract(reply(extract_key).text, item.question_type, item.choices,
+                                          config.extraction_rules)
+            except BackendError as exc:  # a failed extractor call degrades to unextracted
+                logger.warning("model extraction failed: %s", exc)
+                extracted = UNEXTRACTED
         return score_response(item, digest, text, extracted, metrics)
 
     def each(step, states: list) -> list:

@@ -280,6 +280,11 @@ class TestReplyParsing:
         with pytest.raises(MalformedReply, match="missing echoed logprobs"):
             parse_completions_logprobs(_echo_payload(tokens=5, logprobs=[-1.0], offsets=[0]), 0, "a")
 
+    def test_echoed_arrays_of_different_length_are_malformed(self):
+        payload = _echo_payload(tokens=["a", "b"], logprobs=[None, -1.0], offsets=[0])
+        with pytest.raises(MalformedReply, match="^completions reply logprob arrays disagree in length$"):
+            parse_completions_logprobs(payload, 1, "b")
+
     def test_no_continuation_tokens_is_malformed(self):
         payload = _echo_payload(tokens=["ab"], logprobs=[None], offsets=[0])
         with pytest.raises(MalformedReply):

@@ -162,6 +162,12 @@ class TestEval:
         "supports_loglikelihood_number": ({"backend": {"type": "stub", "supports_loglikelihood": 0}},
                                           "supports_loglikelihood"),
         "supports_images_null": ({"extractor": {"type": "stub", "supports_images": None}}, "supports_images"),
+        "extraction_rules_object": ({"extraction_rules": {"name": "x"}}, "extraction_rules"),
+        "output_dir_unset": ({"output_dir": None}, "output_dir"),
+        "dataset_number": ({"dataset": 5}, "dataset"),
+        "seed_fraction": ({"generation": {"seed": 1.5}}, "seed"),
+        "stop_sequences_string": ({"generation": {"stop_sequences": "END"}}, "stop_sequences"),
+        "cache_dir_number": ({"cache_dir": 5}, "cache_dir"),
     }
 
     @pytest.mark.parametrize("extra,named", list(CONFIG_ERRORS.values()), ids=list(CONFIG_ERRORS))
@@ -185,8 +191,11 @@ class TestEval:
          "extraction_rules[0]: capture group 5 not in pattern"),
         ({"backend": {"type": "stub", "supports_generation": "false"}},
          "backend: supports_generation must be true or false, got 'false'"),
+        ({"extraction_rules": {"name": "x"}}, "extraction_rules: must be a list of objects, got {'name': 'x'}"),
+        ({"output_dir": None}, "config: output_dir must be set (config file or --output)"),
+        ({"dataset": 5}, "config: dataset must be a path (config file or --dataset), got 5"),
     ], ids=["backend_base_url", "extractor_base_url", "generation_temperature", "rule_capture_group",
-            "backend_flag"])
+            "backend_flag", "rules_object", "output_dir_unset", "dataset_number"])
     def test_bad_value_is_named_by_its_section(self, tmp_path, fixture_dataset_path, capsys, extra, line):
         config = make_config(tmp_path, fixture_dataset_path, replies=FIXTURE_REPLIES, extra=extra)
         assert main(["eval", "--config", str(config)]) == 1
@@ -749,6 +758,21 @@ class TestReportCommand:
         assert main(["report", "--runs", str(runs)]) == 2
         assert capsys.readouterr().err == (f"dataset error: {records_path}, line 1: not a record: "
                                            "category must be a string or null, got 5\n")
+
+    def test_stored_ground_truth_that_is_no_text(self, tmp_path, data_dir, capsys):
+        # the pooled BLEU of a text run read this field as references
+        config = Path(__file__).parent.parent / "configs" / "stub_text_demo.json"
+        runs = tmp_path / "runs"
+        assert main(["eval", "--config", str(config), "--dataset", str(data_dir / "text_fixture_dataset.json"),
+                     "--output", str(runs), "--cache", str(tmp_path / "cache")]) == 0
+        records_path = runs / "text14" / "stub" / "records.jsonl"
+        lines = records_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[0] = json.dumps({**json.loads(lines[0]), "ground_truth": [5]}) + "\n"
+        records_path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--runs", str(runs)]) == 2
+        assert capsys.readouterr().err == (f"dataset error: {records_path}, line 1: not a record: "
+                                           "ground_truth must be a string, a list of strings or null, got [5]\n")
 
     def test_empty_runs_dir(self, tmp_path):
         assert main(["report", "--runs", str(tmp_path)]) == 1

@@ -6,12 +6,15 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from omnieval import (
+    EvalItem,
     ExtractionRule,
     ExtractionStatus,
     QuestionType,
+    RunConfig,
     StubBackend,
     extract_answer,
     normalize_text,
+    run_generation_eval,
 )
 from omnieval.errors import ConfigError, TransportError
 from omnieval.filters import BUILTIN_RULES
@@ -162,21 +165,23 @@ class TestExtractAnswer:
 
 class TestModelExtract:
     def test_scripted_extractor(self):
-        extractor = StubBackend(default_reply="B")
-        raw = "Well, after much deliberation I lean towards the second item."
-        got = model_extract(raw, QuestionType.SINGLE_CHOICE, CHOICES4, extractor.generate)
+        got = model_extract("B", QuestionType.SINGLE_CHOICE, CHOICES4)
         assert got.value == "B"
         assert got.status is ExtractionStatus.MODEL_EXTRACTED
 
     def test_unextractable_reply_stays_unextracted(self):
-        extractor = StubBackend(default_reply="beats me")
-        got = model_extract("mumble", QuestionType.SINGLE_CHOICE, CHOICES4, extractor.generate)
+        got = model_extract("beats me", QuestionType.SINGLE_CHOICE, CHOICES4)
         assert got.status is ExtractionStatus.UNEXTRACTED
 
     def test_transport_failure_is_soft(self):
+        item = EvalItem(id="q1", instruction="Capital of France?", question_type=QuestionType.SINGLE_CHOICE,
+                        choices=tuple(CHOICES4), answer="A")
         extractor = StubBackend(default_reply="B", _failures=[TransportError("down")])
-        got = model_extract("mumble", QuestionType.SINGLE_CHOICE, CHOICES4, extractor.generate)
-        assert got.status is ExtractionStatus.UNEXTRACTED
+        config = RunConfig(extractor=extractor, max_retries=0)
+        (record,) = run_generation_eval([item], StubBackend(default_reply="mumble"), config)
+        assert extractor.generate_calls == 1
+        assert record.error is None
+        assert record.extracted.status is ExtractionStatus.UNEXTRACTED
 
 
 class TestLayering:

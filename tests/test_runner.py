@@ -550,6 +550,18 @@ class TestGenerationEval:
         assert records[0].extracted.value == "B"
         assert records[0].extracted.status.value == "model_extracted"
 
+    def test_each_extraction_prompt_is_rendered_once(self, monkeypatch):
+        import omnieval.runner as runner_mod
+
+        rendered = []
+        render = runner_mod.extraction_prompt
+        monkeypatch.setattr(runner_mod, "extraction_prompt", lambda *args: rendered.append(args) or render(*args))
+        items = [choice_item(1, ["Paris", "Rome"], "B"), choice_item(2, ["Paris", "Rome"], "A")]
+        stub = StubBackend(scripted={"it001": "the second one, obviously", "it002": "the first, surely"})
+        records = run_generation_eval(items, stub, RunConfig(extractor=StubBackend(default_reply="B")))
+        assert [r.extracted.status.value for r in records] == ["model_extracted"] * 2
+        assert len(rendered) == 2
+
     def test_requires_generation_capability(self):
         backend = StubBackend(supports_generation=False)
         with pytest.raises(ConfigError):
@@ -853,7 +865,16 @@ class TestRescore:
         ("category", 5, "category must be a string or null, got 5"),
         ("response_text", 5, "response_text must be a string or null, got 5"),
         ("error", {"kind": "x"}, "error must be a string or null, got {'kind': 'x'}"),
-    ], ids=["item_id_list", "item_id_null", "category_number", "response_text_number", "error_object"])
+        ("ground_truth", 5, "ground_truth must be a string, a list of strings or null, got 5"),
+        ("ground_truth", [5], "ground_truth must be a string, a list of strings or null, got [5]"),
+        ("extracted", {"value": 5, "status": "extracted"},
+         "extracted.value must be a string, a list of strings or null, got 5"),
+        ("extracted", {"value": ["a", 5], "status": "extracted"},
+         "extracted.value must be a string, a list of strings or null, got ['a', 5]"),
+        ("extracted", 5, "extracted must be an object or null, got 5"),
+    ], ids=["item_id_list", "item_id_null", "category_number", "response_text_number", "error_object",
+            "ground_truth_number", "ground_truth_list_of_number", "extracted_value_number",
+            "extracted_value_list_with_number", "extracted_number"])
     def test_field_of_wrong_type_is_refused(self, tmp_path, field, value, problem):
         data = {**self._ppl_run()[1][0].to_dict(), field: value}
         path = tmp_path / "records.jsonl"

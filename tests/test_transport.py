@@ -10,6 +10,7 @@ import sys
 import threading
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -223,6 +224,18 @@ class TestKeepAliveTransport:
         assert _in_thread(run) == ("pong", "pong")
         assert server.accepted == 2
         assert server.handled == 2
+
+    @pytest.mark.parametrize("error", [ConnectionResetError, BrokenPipeError])
+    def test_reused_connection_that_fails_the_send_is_resent_on_a_new_one(self, server, error):
+        def run():
+            first = _ping(server.url)
+            (conn,) = _thread_connections().values()
+            conn.sock = mock.Mock(wraps=conn.sock, **{"sendall.side_effect": error("peer gone")})
+            return first, _ping(server.url), conn.sock.sendall.call_count
+
+        assert _in_thread(run) == ("pong", "pong", 1)
+        assert server.handled == 2  # the failed send reached no server
+        assert server.accepted == 2
 
     def test_reset_on_fresh_connection_is_not_resent(self, server):
         server.mode = "reset"
