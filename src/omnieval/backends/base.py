@@ -8,7 +8,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-from ..errors import ConfigError
+from ..errors import INTEGER, NUMBER, REQUIRED, STRING, STRING_OR_NULL, ConfigError, Stored, read_stored
 from ..prompts import PromptBundle
 
 
@@ -52,16 +52,15 @@ class ModelResponse:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelResponse":
-        # a field of the wrong type is a ValueError, so the cache entry is a miss; entries
-        # that earlier versions wrote also hold "token_logprobs": null, which is not read
-        text, reason = data["text"], data.get("finish_reason", "stop")
-        prompt, completion, latency = (data.get("prompt_tokens", 0), data.get("completion_tokens", 0),
-                                       data.get("latency_ms", 0))
-        # type(), not isinstance(): a bool is an int, but true is no count
-        if not (isinstance(text, str) and (reason is None or isinstance(reason, str))
-                and type(prompt) is type(completion) is type(latency) is int):
-            raise ValueError("text, finish_reason or a token count or latency of the wrong type")
-        return cls(text, reason, prompt, completion, latency)
+        # entries that earlier versions wrote also hold "token_logprobs": null, which is not read
+        return cls(*read_stored(data, _RESPONSE))
+
+
+# the fields of a cache payload, in its class's order; a refused one is a cache miss
+_RESPONSE = Stored((("text", STRING, REQUIRED), ("finish_reason", STRING_OR_NULL, "stop"),
+                    ("prompt_tokens", INTEGER, 0), ("completion_tokens", INTEGER, 0), ("latency_ms", INTEGER, 0)))
+_LOGLIKELIHOOD = Stored((("total_logprob", NUMBER, REQUIRED), ("token_count", INTEGER, REQUIRED),
+                         ("continuation_chars", INTEGER, REQUIRED)))
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,7 @@ class LoglikelihoodResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LoglikelihoodResult":
-        return cls(data["total_logprob"], data["token_count"], data["continuation_chars"])
+        return cls(*read_stored(data, _LOGLIKELIHOOD))
 
 
 class Backend(ABC):

@@ -27,15 +27,13 @@ from .base import (
 
 
 def _as_ll_result(value, continuation: str) -> LoglikelihoodResult:
+    """A ``logprob_table`` entry, read as a cached one is: an object, whose token count
+    defaults to the continuation's words, or a total, a token count and, optionally, chars."""
     if isinstance(value, dict):
-        return LoglikelihoodResult(
-            value["total_logprob"],
-            value.get("token_count", max(1, len(continuation.split()))),
-            value.get("continuation_chars", len(continuation)),
-        )
-    total, tokens, *rest = value
-    chars = rest[0] if rest else len(continuation)
-    return LoglikelihoodResult(total, tokens, chars)
+        value = {"token_count": max(1, len(continuation.split())), **value}
+    else:
+        value = dict(zip(("total_logprob", "token_count", "continuation_chars"), value))
+    return LoglikelihoodResult.from_dict({"continuation_chars": len(continuation), **value})
 
 
 class StubBackend(Backend):
@@ -113,13 +111,7 @@ class StubBackend(Backend):
             else:
                 text = bundle.final_text  # echo mode
             prompt_tokens = sum(len(turn.text.split()) for turn in bundle.turns)
-            return ModelResponse(
-                text=text,
-                finish_reason="stop",
-                prompt_tokens=prompt_tokens,
-                completion_tokens=len(text.split()),
-                latency_ms=0,
-            )
+            return ModelResponse(text, prompt_tokens=prompt_tokens, completion_tokens=len(text.split()))
         finally:
             self._exit()
 
@@ -128,15 +120,8 @@ class StubBackend(Backend):
             raise ValueError("continuation must be non-empty")
         self._enter("loglikelihood")
         try:
-            entry = self.logprob_table.get((context, continuation))
-            if entry is None:
-                entry = self.logprob_table.get(continuation)
-            if entry is not None:
-                return entry
-            return LoglikelihoodResult(
-                total_logprob=self.char_logprob * len(continuation),
-                token_count=max(1, len(continuation.split())),
-                continuation_chars=len(continuation),
-            )
+            entry = self.logprob_table.get((context, continuation)) or self.logprob_table.get(continuation)
+            # the linear model counts tokens and characters as a table object without them does
+            return entry or _as_ll_result({"total_logprob": self.char_logprob * len(continuation)}, continuation)
         finally:
             self._exit()

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .backends import GenerationOptions, HttpBackend, StubBackend
 from .dataset import DatasetManifest, load_dataset
-from .errors import ConfigError, EmptyDataset, EvalKitError, ParseError, SchemaError
+from .errors import STRING, ConfigError, EmptyDataset, EvalKitError, ParseError, SchemaError, Stored, read_stored
 from .filters import ExtractionRule
 from .prompts import PromptTemplate
 from .report import EMITTERS, aggregate, report_to_markdown
@@ -171,6 +171,10 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+# the fields of run_meta.json that report reads; its metrics are checked as a dataset's are
+_RUN_META = Stored((("dataset", STRING, "unknown"), ("model", STRING, "unknown")))
+
+
 def cmd_report(args) -> int:
     runs_dir = Path(args.runs)
     record_files = sorted(runs_dir.rglob("records.jsonl"))
@@ -191,11 +195,12 @@ def cmd_report(args) -> int:
         # a run_meta.json written before runs stored their metrics reports the default ones
         metrics = {"metrics": meta["metrics"]} if "metrics" in meta else {}
         try:
-            manifest = DatasetManifest(name=meta.get("dataset", "unknown"), **metrics)
-        except SchemaError as exc:
-            raise SchemaError(f"{meta_path}: {exc}") from exc
+            dataset, model = read_stored(meta, _RUN_META)
+            manifest = DatasetManifest(name=dataset, **metrics)
+        except (ValueError, SchemaError) as exc:
+            raise ParseError(f"{meta_path}: {exc}") from exc
         records = read_records(record_file)
-        reports.append(aggregate(records, manifest, model_name=meta.get("model", "unknown")))
+        reports.append(aggregate(records, manifest, model_name=model))
     text = EMITTERS[args.format](reports)
     if args.out:
         write_text_atomic(args.out, text)

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the harness."""
+"""Exception hierarchy shared across the harness, and the one reader of stored JSON objects."""
+
+from math import isfinite
+from typing import NamedTuple
 
 
 class EvalKitError(Exception):
@@ -15,6 +18,69 @@ def config_enum(enum_cls, value, name: str):
         return enum_cls(value)
     except ValueError:
         raise ConfigError(f"{name} must be one of {', '.join(m.value for m in enum_cls)}, got {value!r}") from None
+
+
+# --- stored files ----------------------------------------------------------
+
+REQUIRED = object()  # the default of a field that a stored object must hold
+FINITE = object()  # what a float must further be
+_REFUSED = object()
+STRING = ({str: None}, "a string")
+STRING_OR_NULL = ({str: None, type(None): None}, "a string or null")
+INTEGER = ({int: None}, "an integer")  # type(), not isinstance(): true is no number
+NUMBER = ({int: None, float: FINITE}, "a finite number")
+
+
+class Stored(NamedTuple):
+    """A stored JSON object: its fields, each ``(name, (types, words), default)``, and
+    ``build``, which makes the object of their values in order (None keeps it as read).
+    ``types`` maps the Python type of each JSON value a field takes to what that value
+    must further be: None, nothing; FINITE, for a float; for a list, the type or Stored
+    of its elements; for an object, its Stored; for a string, a dict from each string it
+    may be to what that string reads as. ``words`` name the values in a refusal."""
+
+    fields: tuple
+    build: object = None
+
+
+def read_stored(data: dict, stored: Stored) -> list:
+    """The value of each field of ``stored`` in the JSON object ``data``, or its default when
+    absent; a list is read as a tuple and an object as what its Stored builds. Any other
+    value is a ValueError worded ``<field path> must be <words>, got <value>``."""
+    values = []
+    for name, (types, words), default in stored.fields:
+        value = data.get(name, default)
+        inner = types.get(type(value), _REFUSED)
+        if inner is not None and (inner is not FINITE or not isfinite(value)):  # more than a type test
+            if value is REQUIRED:
+                raise ValueError(f"{name} is missing")
+            if inner is _REFUSED or inner is FINITE:
+                raise ValueError(f"{name} must be {words}, got {value!r}")
+            if type(value) is dict:
+                value = _build(value, inner, name)
+            elif type(inner) is Stored:
+                value = tuple([_build(element, inner, name, i) for i, element in enumerate(value)])
+            elif type(value) is list:
+                value = tuple(value) if all(type(element) is inner for element in value) else _REFUSED
+            elif type(value) is str:
+                value = inner.get(value, _REFUSED)
+            if value is _REFUSED:
+                raise ValueError(f"{name} must be {words}, got {data[name]!r}")
+        values.append(value)
+    return values
+
+
+def _build(data, stored: Stored, name: str, index: int | None = None):
+    """What ``stored`` builds of ``data``, the object in the field ``name`` or in its element ``index``."""
+    if type(data) is dict:
+        try:
+            values = read_stored(data, stored)
+            return data if stored.build is None else stored.build(*values)
+        except ValueError as exc:
+            problem = f".{exc}"
+    else:
+        problem = f" must be an object, got {data!r}"
+    raise ValueError(name + ("" if index is None else f"[{index}]") + problem)
 
 
 # --- dataset loading -------------------------------------------------------

@@ -102,37 +102,18 @@ def fmt4(value: float) -> str:
     return format(value, ".4f")
 
 
+def _rows(report: MetricReport) -> list:
+    """The report's rows, each (category, values): all items first, then each category in order."""
+    return [(RESERVED_CATEGORY, report.overall)] + sorted(report.by_category.items())
+
+
 def report_to_jsonl(report: MetricReport) -> str:
-    lines = [
-        json.dumps(
-            {
-                "type": "summary",
-                "dataset": report.dataset,
-                "model": report.model,
-                "item_count": report.item_count,
-                "error_count": report.error_count,
-                "extraction_failure_rate": report.extraction_failure_rate,
-            },
-            sort_keys=True,
-        )
-    ]
-    for category, values in [(RESERVED_CATEGORY, report.overall)] + sorted(report.by_category.items()):
-        for mv in values:
-            lines.append(
-                json.dumps(
-                    {
-                        "type": "metric",
-                        "dataset": report.dataset,
-                        "model": report.model,
-                        "metric": mv.name,
-                        "category": category,
-                        "value": mv.value,
-                        "support": mv.support,
-                    },
-                    sort_keys=True,
-                )
-            )
-    return "\n".join(lines) + "\n"
+    head = {"dataset": report.dataset, "model": report.model}
+    lines = [{"type": "summary", **head, "item_count": report.item_count, "error_count": report.error_count,
+              "extraction_failure_rate": report.extraction_failure_rate}]
+    lines += [{"type": "metric", **head, "metric": mv.name, "category": category, "value": mv.value,
+               "support": mv.support} for category, values in _rows(report) for mv in values]
+    return "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
 
 
 def report_to_markdown(report: MetricReport) -> str:
@@ -146,13 +127,9 @@ def report_to_markdown(report: MetricReport) -> str:
         "| category | " + " | ".join(names) + " |",
         "| --- |" + " --- |" * len(names),
     ]
-    rows = [(RESERVED_CATEGORY, report.overall)] + sorted(report.by_category.items())
-    for category, values in rows:
-        cells = []
-        by_name = {mv.name: mv for mv in values}
-        for name in names:
-            mv = by_name.get(name)
-            cells.append(fmt4(mv.value) if mv else "-")
+    for category, values in _rows(report):
+        by_name = {mv.name: mv.value for mv in values}
+        cells = [fmt4(by_name[name]) if name in by_name else "-" for name in names]
         out.append(f"| {category} | " + " | ".join(cells) + " |")
     return "\n".join(out) + "\n"
 
@@ -162,7 +139,7 @@ def report_to_csv(report: MetricReport, header: bool = True) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     if header:
         writer.writerow(["dataset", "model", "metric", "category", "value", "support"])
-    for category, values in [(RESERVED_CATEGORY, report.overall)] + sorted(report.by_category.items()):
+    for category, values in _rows(report):
         for mv in values:
             writer.writerow([report.dataset, report.model, mv.name, category, fmt4(mv.value), mv.support])
     return buf.getvalue()

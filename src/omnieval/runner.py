@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
 import os
 import re
 import threading
@@ -25,7 +24,8 @@ from pathlib import Path
 
 from .backends.base import Backend, GenerationOptions, LoglikelihoodResult, ModelResponse
 from .dataset import DatasetManifest, EvalItem
-from .errors import BackendError, ConfigError, ParseError, RateLimited, TransportError, config_enum
+from .errors import (NUMBER, REQUIRED, STRING, STRING_OR_NULL, BackendError, ConfigError, ParseError, RateLimited,
+                     Stored, TransportError, config_enum, read_stored)
 from .estimators import METRIC_REGISTRY, QuestionOutcome, score_choice_exact, score_item
 from .filters import (
     LETTERS,
@@ -129,54 +129,28 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunRecord":
-        if not isinstance(data["item_id"], str):
-            raise ValueError(f"item_id must be a string, got {data['item_id']!r}")
-        for name in ("category", "response_text", "error"):
-            if not isinstance(data.get(name), (str, type(None))):
-                raise ValueError(f"{name} must be a string or null, got {data[name]!r}")
-        extracted = None
-        raw = data.get("extracted")
-        if not isinstance(raw, (dict, type(None))):
-            raise ValueError(f"extracted must be an object or null, got {raw!r}")
-        if raw is not None:
-            value = _texts(raw.get("value"), "extracted.value")
-            extracted = ExtractedAnswer(value, ExtractionStatus(raw["status"]), raw.get("rule_name"),
-                                        raw.get("raw_span"))
-        logprobs = data.get("choice_logprobs")
-        for i, choice in enumerate(logprobs or ()):
-            for name in ("total_logprob", "normalized_logprob"):
-                _finite(choice[name], f"choice_logprobs[{i}].{name}")
-        outcomes = data.get("outcomes", [])
-        for i, outcome in enumerate(outcomes):
-            if not isinstance(outcome["metric"], str):
-                raise ValueError(f"outcomes[{i}].metric must be a metric name, got {outcome['metric']!r}")
-            _finite(outcome["score"], f"outcomes[{i}].score")
-        return cls(
-            item_id=data["item_id"],
-            prompt_digest=data.get("prompt_digest", ""),
-            category=data.get("category"),
-            ground_truth=_texts(data.get("ground_truth"), "ground_truth"),
-            response_text=data.get("response_text"),
-            choice_logprobs=tuple(logprobs) if logprobs else None,
-            extracted=extracted,
-            outcomes=tuple(QuestionOutcome(o["metric"], o["score"]) for o in outcomes),
-            error=data.get("error"),
-        )
+        item_id, digest, category, truth, text, logprobs, extracted, outcomes, error = read_stored(data, _RECORD)
+        if outcomes and truth in (None, ()):  # what its outcomes were scored against, and text metrics read
+            raise ValueError("ground_truth must be a string or a non-empty list of strings in a scored record, "
+                             f"got {data.get('ground_truth')!r}")
+        return cls(item_id, digest, category, truth, text, logprobs or None, extracted, outcomes, error)
 
 
-def _texts(value, name: str):
-    """``value`` as a stored answer: a string, a tuple of strings or None."""
-    if isinstance(value, list) and all(isinstance(text, str) for text in value):
-        return tuple(value)
-    if not isinstance(value, (str, type(None))):
-        raise ValueError(f"{name} must be a string, a list of strings or null, got {value!r}")
-    return value
-
-
-def _finite(value, name: str) -> None:
-    # type(), not isinstance(): a bool is an int, but true is no number
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
+_TEXTS = ({str: None, list: str, type(None): None}, "a string, a list of strings or null")
+_STATUS = ({str: {status.value: status for status in ExtractionStatus}},
+           "one of " + ", ".join(status.value for status in ExtractionStatus))
+_EXTRACTED = Stored((("value", _TEXTS, None), ("status", _STATUS, REQUIRED),
+                     ("rule_name", STRING_OR_NULL, None), ("raw_span", STRING_OR_NULL, None)), ExtractedAnswer)
+_CHOICE = Stored((("total_logprob", NUMBER, REQUIRED), ("normalized_logprob", NUMBER, REQUIRED)))  # kept as stored
+_OUTCOME = Stored((("metric", ({str: None}, "a metric name"), REQUIRED), ("score", NUMBER, REQUIRED)),
+                  QuestionOutcome)
+_RECORD = Stored((  # in RunRecord's order
+    ("item_id", STRING, REQUIRED), ("prompt_digest", STRING, ""), ("category", STRING_OR_NULL, None),
+    ("ground_truth", _TEXTS, None), ("response_text", STRING_OR_NULL, None),
+    ("choice_logprobs", ({list: _CHOICE, type(None): None}, "a list of objects or null"), None),
+    ("extracted", ({dict: _EXTRACTED, type(None): None}, "an object or null"), None),
+    ("outcomes", ({list: _OUTCOME}, "a list of objects"), []), ("error", STRING_OR_NULL, None),
+))
 
 
 # --- cache -------------------------------------------------------------------
@@ -705,7 +679,7 @@ def read_records(path) -> list[RunRecord]:
             if not isinstance(data, dict) or "item_id" not in data:
                 raise ValueError("expected a JSON object with an item_id")
             records.append(RunRecord.from_dict(data))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        except ValueError as exc:
             raise ParseError(f"{path}, line {number}: not a record: {exc}") from exc
     return records
 
@@ -732,16 +706,9 @@ def write_run_output(
         "finished_at": finished_at,
         "capabilities": {name: getattr(backend, name) for name in
                          ("model_name", "supports_generation", "supports_loglikelihood", "supports_images")},
-        "config": {
-            "mode": config.mode,
-            "num_shots": config.num_shots,
-            "use_cot": config.use_cot,
-            "concurrency_limit": config.concurrency_limit,
-            "max_retries": config.max_retries,
-            "backoff_base_ms": config.backoff_base_ms,
-            "limit": config.limit,
-            "generation": config.generation.to_dict(),
-        },
+        "config": {**{name: getattr(config, name) for name in ("mode", "num_shots", "use_cot", "concurrency_limit",
+                                                               "max_retries", "backoff_base_ms", "limit")},
+                   "generation": config.generation.to_dict()},
         "item_count": len(records),
         "error_count": sum(1 for r in records if r.error is not None),
         "metrics": list(manifest.metrics),

@@ -96,7 +96,9 @@ class TestStubBackend:
         assert result.token_count == 2
         assert result.continuation_chars == 1
 
-    @pytest.mark.parametrize("entry", [[-1.0, 0], {"total_logprob": float("nan")}], ids=["no_tokens", "nan"])
+    @pytest.mark.parametrize("entry", [[-1.0, 0], {"total_logprob": float("nan")}, {"total_logprob": True},
+                                       [-1.0, 1.5], [-1.0]],
+                             ids=["no_tokens", "nan", "bool_logprob", "float_count", "no_count"])
     def test_table_entry_that_is_no_loglikelihood_is_a_config_error(self, entry):
         with pytest.raises(ConfigError, match=r"^logprob_table\[' A'\] is not a loglikelihood entry: "):
             StubBackend(logprob_table={" A": entry})

@@ -504,7 +504,8 @@ class TestScore:
             ("generate", lambda text: text + '{"prompt_digest": "d"}\n',
              "line 11: not a record: expected a JSON object"),
             ("generate", lambda text: text.replace('"status":"extracted"', '"status":"bogus"', 1),
-             "line 1: not a record: 'bogus' is not a valid ExtractionStatus"),
+             "line 1: not a record: extracted.status must be one of extracted, model_extracted, unextracted, "
+             "got 'bogus'"),
             ("generate", lambda text: "\udcff" + text, "line 1: not a record: 'utf-8' codec can't decode"),
             ("ppl", lambda text: re.sub(r'"total_logprob":[^,}]+', '"total_logprob":"x"', text, count=1),
              "line 1: not a record: choice_logprobs[0].total_logprob must be a finite number, got 'x'"),
@@ -659,7 +660,10 @@ class TestReportCommand:
         (lambda meta: json.dumps({**meta, "metrics": "accuracy"}),
          "bad field: metrics: must be a list of metric names, got 'accuracy'"),
         (lambda meta: json.dumps({**meta, "metrics": ["nope"]}), "bad field: metrics: unknown metric 'nope' ("),
-    ], ids=["not_json", "metrics_not_a_list", "unknown_metric"])
+        (lambda meta: json.dumps({**meta, "dataset": 5}), "dataset must be a string, got 5\n"),
+        (lambda meta: json.dumps({**meta, "dataset": None}), "dataset must be a string, got None\n"),
+        (lambda meta: json.dumps({**meta, "model": ["m"]}), "model must be a string, got ['m']\n"),
+    ], ids=["not_json", "metrics_not_a_list", "unknown_metric", "dataset_number", "dataset_null", "model_list"])
     def test_unreadable_run_meta(self, tmp_path, fixture_dataset_path, capsys, damage, message):
         runs = self._run(tmp_path, fixture_dataset_path)
         meta_path = runs / "fixture10" / "stub" / "run_meta.json"
@@ -759,20 +763,56 @@ class TestReportCommand:
         assert capsys.readouterr().err == (f"dataset error: {records_path}, line 1: not a record: "
                                            "category must be a string or null, got 5\n")
 
-    def test_stored_ground_truth_that_is_no_text(self, tmp_path, data_dir, capsys):
-        # the pooled BLEU of a text run read this field as references
+    def _text_run(self, tmp_path, data_dir, damage):
+        """The records file of a ``stub_text_demo.json`` run whose first record ``damage`` changed in place."""
         config = Path(__file__).parent.parent / "configs" / "stub_text_demo.json"
         runs = tmp_path / "runs"
         assert main(["eval", "--config", str(config), "--dataset", str(data_dir / "text_fixture_dataset.json"),
                      "--output", str(runs), "--cache", str(tmp_path / "cache")]) == 0
         records_path = runs / "text14" / "stub" / "records.jsonl"
         lines = records_path.read_text(encoding="utf-8").splitlines(keepends=True)
-        lines[0] = json.dumps({**json.loads(lines[0]), "ground_truth": [5]}) + "\n"
+        record = json.loads(lines[0])
+        damage(record)
+        lines[0] = json.dumps(record) + "\n"
         records_path.write_text("".join(lines), encoding="utf-8")
+        return records_path
+
+    def test_stored_ground_truth_that_is_no_text(self, tmp_path, data_dir, capsys):
+        # the pooled BLEU of a text run read this field as references
+        records_path = self._text_run(tmp_path, data_dir, lambda record: record.update(ground_truth=[5]))
         capsys.readouterr()
-        assert main(["report", "--runs", str(runs)]) == 2
+        assert main(["report", "--runs", str(tmp_path / "runs")]) == 2
         assert capsys.readouterr().err == (f"dataset error: {records_path}, line 1: not a record: "
                                            "ground_truth must be a string, a list of strings or null, got [5]\n")
+
+    @pytest.mark.parametrize("damage,problem", [
+        (lambda record: record.update(prompt_digest=5), "prompt_digest must be a string, got 5"),
+        (lambda record: record["extracted"].update(rule_name=5), "extracted.rule_name must be a string or null, got 5"),
+        (lambda record: record["extracted"].update(raw_span=[1]),
+         "extracted.raw_span must be a string or null, got [1]"),
+        (lambda record: record.update(choice_logprobs=5), "choice_logprobs must be a list of objects or null, got 5"),
+        (lambda record: record.update(outcomes=5), "outcomes must be a list of objects, got 5"),
+        (lambda record: record.update(outcomes=[5]), "outcomes[0] must be an object, got 5"),
+        (lambda record: record["extracted"].pop("status"), "extracted.status is missing"),
+        (lambda record: record["outcomes"][0].pop("score"), "outcomes[0].score is missing"),
+        (lambda record: record.update(ground_truth=None),
+         "ground_truth must be a string or a non-empty list of strings in a scored record, got None"),
+        (lambda record: record.pop("ground_truth"),
+         "ground_truth must be a string or a non-empty list of strings in a scored record, got None"),
+        (lambda record: record.update(ground_truth=[]),
+         "ground_truth must be a string or a non-empty list of strings in a scored record, got []"),
+    ], ids=["prompt_digest_number", "rule_name_number", "raw_span_list", "choice_logprobs_number",
+            "outcomes_number", "outcome_number", "no_status", "no_score", "ground_truth_null", "no_ground_truth",
+            "ground_truth_empty"])
+    def test_stored_field_is_named(self, tmp_path, data_dir, capsys, damage, problem):
+        # report and score read a stored record alike: one line naming the field, never a traceback
+        records_path = self._text_run(tmp_path, data_dir, damage)
+        dataset = data_dir / "text_fixture_dataset.json"
+        for argv in (["report", "--runs", str(tmp_path / "runs")],
+                     ["score", "--records", str(records_path), "--dataset", str(dataset)]):
+            capsys.readouterr()
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"dataset error: {records_path}, line 1: not a record: {problem}\n"
 
     def test_empty_runs_dir(self, tmp_path):
         assert main(["report", "--runs", str(tmp_path)]) == 1

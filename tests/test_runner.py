@@ -390,7 +390,9 @@ class TestGenerationEval:
     @pytest.mark.parametrize("response", [
         {"total_logprob": -1.0, "token_count": 0, "continuation_chars": 2},
         {"total_logprob": float("nan"), "token_count": 1, "continuation_chars": 2},
-    ], ids=["no_tokens", "nan"])
+        {"total_logprob": True, "token_count": 1, "continuation_chars": 2},
+        {"total_logprob": -1.0, "token_count": 1.5, "continuation_chars": 2},
+    ], ids=["no_tokens", "nan", "bool_logprob", "float_count"])
     def test_loglikelihood_entry_that_fails_its_checks_is_fetched_again(self, tmp_path, fixture_dataset_path,
                                                                        fixture_replies, caplog, response):
         manifest, items = load_dataset(fixture_dataset_path)
@@ -827,8 +829,8 @@ class TestRescore:
          "choice_logprobs[1].normalized_logprob must be a finite number, got nan"),
         ({"normalized_logprob": float("-inf")},
          "choice_logprobs[1].normalized_logprob must be a finite number, got -inf"),
-        (None, "'total_logprob'"),
-        (5, "'int' object is not subscriptable"),
+        (None, "choice_logprobs[1].total_logprob is missing"),
+        (5, "choice_logprobs[1] must be an object, got 5"),
     ], ids=["string", "bool", "null", "nan", "infinite", "missing", "not_an_object"])
     def test_bad_choice_logprob_is_refused(self, tmp_path, entry, problem):
         data = self._ppl_run()[1][0].to_dict()
