@@ -6,20 +6,20 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from ..errors import INTEGER, NUMBER, REQUIRED, STRING, STRING_OR_NULL, ConfigError, Stored, read_stored
+from ..errors import INTEGER, NUMBER, REQUIRED, STRING, STRING_OR_NULL, ConfigError, Stored, checked, read_stored
 from ..prompts import PromptBundle
 
 
-@dataclass(frozen=True)
-class GenerationOptions:
+@checked
+class GenerationOptions(NamedTuple):
     temperature: float = 0.0
     max_new_tokens: int = 512
     stop_sequences: tuple[str, ...] = ()
     seed: int | None = None
 
-    def __post_init__(self):
+    def _check(self):
         # type(), not isinstance(): a bool is an int, but true is no number
         if type(self.temperature) not in (int, float) or not 0 <= self.temperature < math.inf:
             raise ConfigError(f"temperature must be a number >= 0, got {self.temperature!r}")
@@ -30,17 +30,16 @@ class GenerationOptions:
         stops = self.stop_sequences
         if not isinstance(stops, (list, tuple)) or not all(isinstance(s, str) for s in stops):
             raise ConfigError(f"stop_sequences must be a list of strings, got {stops!r}")
-        object.__setattr__(self, "stop_sequences", tuple(stops))
+        return None if type(stops) is tuple else {"stop_sequences": tuple(stops)}
 
     def to_dict(self) -> dict:
         # "decoding_mode" is no option, but cache keys and run_meta.json written when it was
         # one held it, so a config whose mode agreed with its temperature keeps their bytes
         mode = "sample" if self.temperature else "greedy"
-        return {**vars(self), "stop_sequences": list(self.stop_sequences), "decoding_mode": mode}
+        return {**self._asdict(), "stop_sequences": list(self.stop_sequences), "decoding_mode": mode}
 
 
-@dataclass(frozen=True)
-class ModelResponse:
+class ModelResponse(NamedTuple):
     text: str
     finish_reason: str | None = "stop"  # as the server sent it, None when it sent none
     prompt_tokens: int = 0
@@ -48,7 +47,7 @@ class ModelResponse:
     latency_ms: int = 0
 
     def to_dict(self) -> dict:
-        return dict(vars(self))
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelResponse":
@@ -63,13 +62,13 @@ _LOGLIKELIHOOD = Stored((("total_logprob", NUMBER, REQUIRED), ("token_count", IN
                          ("continuation_chars", INTEGER, REQUIRED)))
 
 
-@dataclass(frozen=True)
-class LoglikelihoodResult:
+@checked
+class LoglikelihoodResult(NamedTuple):
     total_logprob: float
     token_count: int
     continuation_chars: int
 
-    def __post_init__(self):
+    def _check(self):
         # ValueError, not ConfigError: the values come from a reply or a cache entry, which
         # then fails only its own item, or is a cache miss
         if not math.isfinite(self.total_logprob):
@@ -84,7 +83,7 @@ class LoglikelihoodResult:
         return self.total_logprob / self.continuation_chars
 
     def to_dict(self) -> dict:
-        return dict(vars(self))
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, data: dict) -> "LoglikelihoodResult":

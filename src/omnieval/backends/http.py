@@ -144,15 +144,20 @@ def parse_completions_logprobs(payload: dict, context_chars: int, continuation: 
     count = 0
     try:
         for token, logprob, offset in zip(tokens, token_logprobs, offsets):
+            # type(), not isinstance(): a bool is an int, and float() takes it, but true is no number
+            if type(offset) is bool:
+                raise TypeError("a bool is no number")
             if offset + len(token) <= context_chars:
                 continue
+            if type(logprob) is bool:
+                raise TypeError("a bool is no number")
             total += float(logprob) if logprob is not None else 0.0
             count += 1
     except (TypeError, ValueError) as exc:
         # the loop's names still hold the values that failed
         if not isinstance(token, str):
             field, value = "tokens", token
-        elif not isinstance(offset, (int, float)):
+        elif type(offset) not in (int, float):
             field, value = "text_offset", offset
         else:
             field, value = "token_logprobs", logprob

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import json
 import logging
 import sys
@@ -60,11 +59,19 @@ def _object(raw, where: str) -> dict:
 
 @functools.cache
 def _config_keys(cls) -> tuple[frozenset, tuple]:
-    """The config keys of ``cls``, its constructor's keyword parameters but test
-    seams (a name starting with ``_``), and those of them without a default, in order."""
-    params = [p for p in inspect.signature(cls).parameters.values()
-              if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY) and not p.name.startswith("_")]
-    return frozenset(p.name for p in params), tuple(p.name for p in params if p.default is p.empty)
+    """The config keys of ``cls``, and those of them without a default, in order: a
+    NamedTuple's fields, or a backend's ``__init__`` parameters after ``self`` but test
+    seams (a name starting with ``_``)."""
+    if issubclass(cls, tuple):
+        names, defaults = cls._fields, cls._field_defaults
+    else:
+        init = cls.__init__
+        code, positional = init.__code__, init.__code__.co_argcount - 1
+        names = code.co_varnames[1:1 + positional + code.co_kwonlyargcount]
+        # the last positional parameters take __defaults__, the keyword-only ones __kwdefaults__
+        defaults = {*names[positional - len(init.__defaults__ or ()):positional], *(init.__kwdefaults__ or ())}
+        names = [name for name in names if not name.startswith("_")]
+    return frozenset(names), tuple(name for name in names if name not in defaults)
 
 
 def _build(cls, raw, where: str, **built):

@@ -10,10 +10,11 @@ record keys survive a round trip untouched.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
-from .errors import EmptyDataset, ParseError, SchemaError
+from .errors import EmptyDataset, ParseError, SchemaError, checked
 from .estimators import METRIC_REGISTRY
 from .filters import LETTERS, YES_NO_WORDS, QuestionType, normalize_text
 
@@ -21,15 +22,13 @@ from .filters import LETTERS, YES_NO_WORDS, QuestionType, normalize_text
 RESERVED_CATEGORY = "__all__"
 
 
-@dataclass(frozen=True)
-class FewShotExemplar:
+class FewShotExemplar(NamedTuple):
     instruction: str
     answer: str
     choices: tuple[str, ...] | None = None
 
 
-@dataclass(frozen=True)
-class EvalItem:
+class EvalItem(NamedTuple):
     """One evaluation record, after validation."""
 
     id: str
@@ -44,15 +43,15 @@ class EvalItem:
     language: str | None = None
     domain: str | None = None
     modality: str | None = None
-    extra: dict = field(default_factory=dict)
+    extra: Mapping = MappingProxyType({})  # read-only, since every item without extra keys shares it
 
 
 # the record keys that an item's own fields hold; ``extra`` holds the rest
-_RECORD_KEYS = frozenset(f.name for f in fields(EvalItem)) - {"extra"}
+_RECORD_KEYS = frozenset(EvalItem._fields) - {"extra"}
 
 
-@dataclass(frozen=True)
-class DatasetManifest:
+@checked
+class DatasetManifest(NamedTuple):
     """Per-dataset defaults carried by the optional ``meta`` object."""
 
     name: str
@@ -64,15 +63,15 @@ class DatasetManifest:
     modality: str | None = None
     few_shot: tuple[FewShotExemplar, ...] = ()
 
-    def __post_init__(self):
+    def _check(self):
         metrics = self.metrics
         if not isinstance(metrics, (list, tuple)) or not all(isinstance(name, str) for name in metrics):
             raise SchemaError(f"bad field: metrics: must be a list of metric names, got {metrics!r}")
-        object.__setattr__(self, "metrics", tuple(metrics))
-        for name in self.metrics:
+        for name in metrics:
             if name not in METRIC_REGISTRY:
                 raise SchemaError(f"bad field: metrics: unknown metric {name!r} "
                                   f"(known: {', '.join(sorted(METRIC_REGISTRY))})")
+        return None if type(metrics) is tuple else {"metrics": tuple(metrics)}
 
 
 def load_dataset(path, default_question_type: QuestionType | None = None,

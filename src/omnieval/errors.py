@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the harness, and the one reader of stored JSON objects."""
+"""Exception hierarchy shared across the harness, the one reader of stored JSON objects,
+and the one way a value type checks what it holds."""
 
 from math import isfinite
 from typing import NamedTuple
@@ -81,6 +82,22 @@ def _build(data, stored: Stored, name: str, index: int | None = None):
     else:
         problem = f" must be an object, got {data!r}"
     raise ValueError(name + ("" if index is None else f"[{index}]") + problem)
+
+
+def checked(cls):
+    """The NamedTuple class ``cls``, made to pass each new value to ``cls._check``, in its
+    constructor and so in ``_replace``. ``_check(self)`` raises on a bad field and returns
+    None, or a dict of the fields whose values it coerces, each to the value to hold."""
+    new = cls.__new__
+
+    def __new__(klass, *args, **kwargs):
+        self = new(klass, *args, **kwargs)
+        coerced = self._check()
+        return self if coerced is None else tuple.__new__(klass, map(coerced.get, klass._fields, self))
+
+    cls.__new__ = staticmethod(__new__)
+    cls._make = classmethod(lambda klass, values: klass(*values))  # what _replace builds its copy with
+    return cls
 
 
 # --- dataset loading -------------------------------------------------------

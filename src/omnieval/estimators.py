@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .errors import EmptyReferences
+from .errors import EmptyReferences, checked
 from .filters import ExtractedAnswer, ExtractionStatus, QuestionType, normalize_text
 
 MAX_BLEU_ORDER = 4
@@ -197,13 +196,13 @@ def rouge_l(candidate: str, reference: str) -> tuple[float, float, float]:
 
 # --- metric registry ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class MetricValue:
+@checked
+class MetricValue(NamedTuple):
     name: str
     value: float
     support: int
 
-    def __post_init__(self):
+    def _check(self):
         if self.support < 1:
             raise ValueError("a metric value needs at least one supporting item")
 
@@ -215,8 +214,7 @@ class QuestionOutcome(NamedTuple):
     score: float
 
 
-@dataclass(frozen=True)
-class MetricSpec:
+class MetricSpec(NamedTuple):
     name: str
     applicable_types: frozenset[QuestionType]
     fn: Callable  # (extracted, item, references) -> dict[str, float]
@@ -285,6 +283,8 @@ METRIC_REGISTRY: dict[str, MetricSpec] = {
         MetricSpec("rougeL", _TEXTUAL, _rouge_metric("rougeL", rouge_l)),
     )
 }
+# every name an outcome may carry: a metric's own, and the two scored beside one
+OUTCOME_NAMES = (*METRIC_REGISTRY, "multi_choice_jaccard", "accuracy_norm")
 
 
 def score_item(

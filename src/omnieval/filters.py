@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-from .errors import ConfigError, config_enum
+from .errors import ConfigError, checked, config_enum
 
 
 class QuestionType(str, Enum):
@@ -82,8 +82,12 @@ def _is_junk(ch: str) -> bool:
 _ASCII_JUNK = "".join(filter(_is_junk, map(chr, range(128))))
 
 
-@dataclass(frozen=True)
-class ExtractionRule:
+# each rule's pattern, compiled once by the rule's constructor: a NamedTuple holds only its fields
+_COMPILED: dict[str, re.Pattern] = {}
+
+
+@checked
+class ExtractionRule(NamedTuple):
     """One regex in the extraction bank.
 
     ``pattern`` must compile and contain ``capture_group``; the captured span
@@ -96,29 +100,29 @@ class ExtractionRule:
     capture_group: int = 1
     applicable_types: frozenset[QuestionType] = frozenset(QuestionType)
 
-    def __post_init__(self):
+    def _check(self):
         if type(self.capture_group) is not int or self.capture_group < 0:
             raise ConfigError("capture_group must be an integer >= 0")
         types = self.applicable_types
         if not isinstance(types, (list, tuple, set, frozenset)):
             raise ConfigError(f"applicable_types must be a list, got {types!r}")
         types = frozenset(config_enum(QuestionType, t, "applicable_types") for t in types)
-        object.__setattr__(self, "applicable_types", types)
         try:
             compiled = re.compile(self.pattern)
         except re.error as exc:
             raise ConfigError(f"pattern does not compile: {exc}") from exc
         if self.capture_group > compiled.groups:
             raise ConfigError(f"capture group {self.capture_group} not in pattern")
-        object.__setattr__(self, "_compiled", compiled)
+        _COMPILED[self.pattern] = compiled
+        return {"applicable_types": types}
 
     @property
     def compiled(self) -> re.Pattern:
-        return self._compiled  # type: ignore[attr-defined]
+        return _COMPILED[self.pattern]
 
 
-@dataclass(frozen=True)
-class ExtractedAnswer:
+@checked
+class ExtractedAnswer(NamedTuple):
     """Canonical answer plus how it was obtained.
 
     ``value`` is a letter, a sorted tuple of letters, a yes/no token, or
@@ -130,7 +134,7 @@ class ExtractedAnswer:
     rule_name: str | None = None
     raw_span: str | None = None
 
-    def __post_init__(self):
+    def _check(self):
         if (self.value is None) != (self.status is ExtractionStatus.UNEXTRACTED):
             raise ValueError("value must be absent exactly when status is unextracted")
 

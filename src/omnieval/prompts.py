@@ -5,17 +5,17 @@ chain-of-thought directive, rendered into a backend-ready conversation.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .dataset import EvalItem, FewShotExemplar
-from .errors import ChoiceOverflow, ConfigError, EmptyChoices
+from .errors import ChoiceOverflow, ConfigError, EmptyChoices, checked
 from .filters import LETTERS
 
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
+@checked
+class PromptTemplate(NamedTuple):
     system_text: str | None = None
     question_prefix: str = ""
     choice_line_format: str = "{letter}. {text}"
@@ -23,12 +23,11 @@ class PromptTemplate:
     exemplar_separator: str = "\n\n"
     cot_suffix: str = "Let's think step by step."
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not isinstance(value, str) and not (value is None and f.name == "system_text"):
-                kind = "a string or null" if f.name == "system_text" else "a string"
-                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
+    def _check(self):
+        for name, value in zip(self._fields, self):
+            if not isinstance(value, str) and not (value is None and name == "system_text"):
+                kind = "a string or null" if name == "system_text" else "a string"
+                raise ConfigError(f"{name} must be {kind}, got {value!r}")
         try:  # rendered once: a field other than the two, or one left out, fails or hides every choice
             line = self.choice_line_format.format(letter="\0", text="\1")
         except (AttributeError, IndexError, KeyError, TypeError, ValueError):
@@ -38,15 +37,14 @@ class PromptTemplate:
                               f"got {self.choice_line_format!r}")
 
 
-@dataclass(frozen=True)
-class Turn:
+class Turn(NamedTuple):
     role: str  # "user" or "assistant"
     text: str
     attachments: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class PromptBundle:
+@checked
+class PromptBundle(NamedTuple):
     """A fully assembled conversation: zero or more exemplar user/assistant
     pairs followed by the final user turn. ``item_id`` ties the bundle back to
     its dataset record (used by the scripted stub backend)."""
@@ -55,7 +53,7 @@ class PromptBundle:
     turns: tuple[Turn, ...]
     item_id: str | None = None
 
-    def __post_init__(self):
+    def _check(self):
         if not self.turns or self.turns[-1].role != "user":
             raise ConfigError("a prompt bundle must end with a user turn")
         for i, turn in enumerate(self.turns[:-1]):

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dataset import RESERVED_CATEGORY, DatasetManifest
 from .errors import EmptyRun
@@ -23,8 +23,7 @@ from .runner import RunRecord
 UNCATEGORIZED = "uncategorized"
 
 
-@dataclass(frozen=True)
-class MetricReport:
+class MetricReport(NamedTuple):
     dataset: str
     model: str
     overall: tuple[MetricValue, ...]

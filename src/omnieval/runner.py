@@ -18,15 +18,15 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 from .backends.base import Backend, GenerationOptions, LoglikelihoodResult, ModelResponse
 from .dataset import DatasetManifest, EvalItem
 from .errors import (NUMBER, REQUIRED, STRING, STRING_OR_NULL, BackendError, ConfigError, ParseError, RateLimited,
-                     Stored, TransportError, config_enum, read_stored)
-from .estimators import METRIC_REGISTRY, QuestionOutcome, score_choice_exact, score_item
+                     Stored, TransportError, checked, config_enum, read_stored)
+from .estimators import METRIC_REGISTRY, OUTCOME_NAMES, QuestionOutcome, score_choice_exact, score_item
 from .filters import (
     LETTERS,
     UNEXTRACTED,
@@ -42,8 +42,8 @@ from .prompts import PromptBundle, PromptTemplate, Turn, flatten_bundle, render_
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+@checked
+class RunConfig(NamedTuple):
     mode: str = "generate"  # "generate" or "ppl"
     num_shots: int = 0
     use_cot: bool = False
@@ -53,14 +53,14 @@ class RunConfig:
     limit: int | None = None
     cache_dir: str | None = None
     output_dir: str | None = None
-    generation: GenerationOptions = field(default_factory=GenerationOptions)
-    template: PromptTemplate = field(default_factory=PromptTemplate)
+    generation: GenerationOptions = GenerationOptions()
+    template: PromptTemplate = PromptTemplate()
     extractor: Backend | None = None
     extraction_rules: tuple[ExtractionRule, ...] = ()
     default_question_type: QuestionType | None = None
     default_metrics: tuple[str, ...] = ("accuracy",)
 
-    def __post_init__(self):
+    def _check(self):
         if self.mode not in ("generate", "ppl"):
             raise ConfigError(f"mode must be 'generate' or 'ppl', got {self.mode!r}")
         if type(self.use_cot) is not bool:
@@ -78,20 +78,19 @@ class RunConfig:
         for name in ("cache_dir", "output_dir"):
             if not isinstance(getattr(self, name), (str, os.PathLike, type(None))):
                 raise ConfigError(f"{name} must be a path, got {getattr(self, name)!r}")
-        if self.default_question_type is not None:
-            qtype = config_enum(QuestionType, self.default_question_type, "default_question_type")
-            object.__setattr__(self, "default_question_type", qtype)
+        qtype = self.default_question_type
+        if qtype is not None:
+            qtype = config_enum(QuestionType, qtype, "default_question_type")
         metrics = self.default_metrics
         if not isinstance(metrics, (list, tuple)) or not all(isinstance(name, str) for name in metrics):
             raise ConfigError(f"default_metrics must be a list of metric names, got {metrics!r}")
-        object.__setattr__(self, "default_metrics", tuple(metrics))
-        for name in self.default_metrics:
+        for name in metrics:
             if name not in METRIC_REGISTRY:
                 raise ConfigError(f"unknown metric {name!r} in default_metrics")
+        return {"default_question_type": qtype, "default_metrics": tuple(metrics)}
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
     """Everything the aggregator needs about one item."""
 
     item_id: str
@@ -142,8 +141,8 @@ _STATUS = ({str: {status.value: status for status in ExtractionStatus}},
 _EXTRACTED = Stored((("value", _TEXTS, None), ("status", _STATUS, REQUIRED),
                      ("rule_name", STRING_OR_NULL, None), ("raw_span", STRING_OR_NULL, None)), ExtractedAnswer)
 _CHOICE = Stored((("total_logprob", NUMBER, REQUIRED), ("normalized_logprob", NUMBER, REQUIRED)))  # kept as stored
-_OUTCOME = Stored((("metric", ({str: None}, "a metric name"), REQUIRED), ("score", NUMBER, REQUIRED)),
-                  QuestionOutcome)
+_OUTCOME = Stored((("metric", ({str: {name: name for name in OUTCOME_NAMES}}, "a metric name"), REQUIRED),
+                   ("score", NUMBER, REQUIRED)), QuestionOutcome)
 _RECORD = Stored((  # in RunRecord's order
     ("item_id", STRING, REQUIRED), ("prompt_digest", STRING, ""), ("category", STRING_OR_NULL, None),
     ("ground_truth", _TEXTS, None), ("response_text", STRING_OR_NULL, None),

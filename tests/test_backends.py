@@ -304,8 +304,12 @@ class TestReplyParsing:
             (["a", "b"], [None, "abc"], [0, 1], "token_logprobs"),
             (["a", 5], [None, -1.0], [0, 1], "tokens"),
             (["a", "b"], [None, -1.0], [0, "1"], "text_offset"),
+            # float(True) is 1.0 and True + 1 is 2: a bool is refused, not read as a number
+            (["a", "b"], [None, True], [0, 1], "token_logprobs"),
+            (["a", "b"], [None, -1.0], [0, True], "text_offset"),
+            (["a", "b"], [None, -1.0], [False, 1], "text_offset"),
         ],
-        ids=["string_logprob", "int_token", "string_offset"],
+        ids=["string_logprob", "int_token", "string_offset", "bool_logprob", "bool_offset", "bool_context_offset"],
     )
     def test_bad_echoed_values_are_malformed(self, tokens, logprobs, offsets, field):
         with pytest.raises(MalformedReply, match=f"logprobs.{field}"):

@@ -1,7 +1,6 @@
 import json
 import os
 import re
-from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -442,9 +441,9 @@ class TestConfigExtras:
         }
         assert documented == {heading: sorted(obj) for heading, obj in objects.items()}
         # and the decoder takes no key that the README leaves out
-        declared = [{f.name for f in fields(RunConfig)} | {"backend", "dataset"},
-                    {f.name for f in fields(GenerationOptions)}, {f.name for f in fields(PromptTemplate)},
-                    {f.name for f in fields(ExtractionRule)}, _config_keys(_BACKENDS["http"])[0] | {"type"},
+        declared = [set(RunConfig._fields) | {"backend", "dataset"},
+                    set(GenerationOptions._fields), set(PromptTemplate._fields),
+                    set(ExtractionRule._fields), _config_keys(_BACKENDS["http"])[0] | {"type"},
                     _config_keys(_BACKENDS["stub"])[0] | {"type"}]
         assert [set(keys) for keys in documented.values()] == declared
 
@@ -557,7 +556,7 @@ class TestScore:
         records = run_generation_eval(items, stub, RunConfig(concurrency_limit=1), manifest)
         assert records[0].error == "BackendRefused: refused"
         # a record of an item that the dataset no longer holds
-        orphan = replace(records[0], item_id="gone", response_text="The answer is A.", error=None)
+        orphan = records[0]._replace(item_id="gone", response_text="The answer is A.", error=None)
         path = tmp_path / "records.jsonl"
         path.write_text(records_to_jsonl(records + [orphan]), encoding="utf-8")
         out_path = tmp_path / "rescored.jsonl"
@@ -795,6 +794,9 @@ class TestReportCommand:
         (lambda record: record.update(outcomes=[5]), "outcomes[0] must be an object, got 5"),
         (lambda record: record["extracted"].pop("status"), "extracted.status is missing"),
         (lambda record: record["outcomes"][0].pop("score"), "outcomes[0].score is missing"),
+        # no scorer emits it, so report would print it as a metric of its own
+        (lambda record: record["outcomes"][0].update(metric="nope"),
+         "outcomes[0].metric must be a metric name, got 'nope'"),
         (lambda record: record.update(ground_truth=None),
          "ground_truth must be a string or a non-empty list of strings in a scored record, got None"),
         (lambda record: record.pop("ground_truth"),
@@ -802,8 +804,8 @@ class TestReportCommand:
         (lambda record: record.update(ground_truth=[]),
          "ground_truth must be a string or a non-empty list of strings in a scored record, got []"),
     ], ids=["prompt_digest_number", "rule_name_number", "raw_span_list", "choice_logprobs_number",
-            "outcomes_number", "outcome_number", "no_status", "no_score", "ground_truth_null", "no_ground_truth",
-            "ground_truth_empty"])
+            "outcomes_number", "outcome_number", "no_status", "no_score", "unknown_metric", "ground_truth_null",
+            "no_ground_truth", "ground_truth_empty"])
     def test_stored_field_is_named(self, tmp_path, data_dir, capsys, damage, problem):
         # report and score read a stored record alike: one line naming the field, never a traceback
         records_path = self._text_run(tmp_path, data_dir, damage)

@@ -9,7 +9,6 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -278,7 +277,7 @@ class TestGenerationEval:
         for _ in range(2):
             extractor = StubBackend(default_reply="B", model_name="extractor")
             stub = StubBackend(scripted=replies)
-            records = run_generation_eval(items, stub, replace(config, extractor=extractor), manifest)
+            records = run_generation_eval(items, stub, config._replace(extractor=extractor), manifest)
             run_dir = write_run_output(records, manifest, StubBackend(), config, "t0", "t1")
             outputs.append((extractor.generate_calls, (run_dir / "records.jsonl").read_bytes()))
         (cold_calls, cold_bytes), (warm_calls, warm_bytes) = outputs
@@ -293,10 +292,10 @@ class TestGenerationEval:
         config = RunConfig(cache_dir=str(tmp_path / "cache"), backoff_base_ms=1)
         failures = [TransportError("down")] * (config.max_retries + 1)
         down = StubBackend(default_reply="B", _failures=failures)
-        first = run_generation_eval(items, stub, replace(config, extractor=down))
+        first = run_generation_eval(items, stub, config._replace(extractor=down))
         assert first[0].extracted.status.value == "unextracted"
         up = StubBackend(default_reply="B")
-        second = run_generation_eval(items, stub, replace(config, extractor=up))
+        second = run_generation_eval(items, stub, config._replace(extractor=up))
         assert up.generate_calls == 1
         assert second[0].extracted.status.value == "model_extracted"
 
@@ -727,7 +726,7 @@ class TestPplEval:
         items = [choice_item(1, ["fine", "worse", "bad"], "A"), choice_item(2, ["fine", "good"], "A")]
         config = RunConfig(mode="ppl", cache_dir=str(tmp_path / "cache"))
         records = run_ppl_eval(items, Refusing(), config)
-        clean = run_ppl_eval(items, StubBackend(), replace(config, cache_dir=None))
+        clean = run_ppl_eval(items, StubBackend(), config._replace(cache_dir=None))
         assert records[0].error == "BackendRefused: worse refused"
         assert records[0].prompt_digest == clean[0].prompt_digest
         assert records_to_jsonl(records[1:]) == records_to_jsonl(clean[1:])
@@ -756,7 +755,7 @@ class TestPlannedRun:
 
     @staticmethod
     def _eval(mode, items, config, stub, extractor=None):
-        config = replace(config, mode="ppl" if mode == "ppl" else "generate", extractor=extractor)
+        config = config._replace(mode="ppl" if mode == "ppl" else "generate", extractor=extractor)
         return (run_ppl_eval if mode == "ppl" else run_generation_eval)(items, stub, config)
 
     @pytest.mark.parametrize("mode", MODES)
@@ -782,7 +781,7 @@ class TestPlannedRun:
         assert records[0].choice_logprobs == records[1].choice_logprobs
         if mode == "ppl":
             stub = StubBackend()
-            record = run_ppl_eval([choice_item(3, ["same", "same"], "A")], stub, replace(config, mode="ppl"))[0]
+            record = run_ppl_eval([choice_item(3, ["same", "same"], "A")], stub, config._replace(mode="ppl"))[0]
             assert stub.loglikelihood_calls == 1
             assert record.choice_logprobs[0] == {**record.choice_logprobs[1], "letter": "A"}
 
